@@ -7,7 +7,9 @@
 //!    `# Safety` rustdoc section) immediately above or on the line.
 //! 2. **`hot-path-panic`** — no `unwrap`/`expect`/`panic!` family
 //!    macros in the hot-path modules (`bvn.rs`, `likelihood.rs`,
-//!    `fused.rs`, `deque.rs`) outside their `#[cfg(test)]` modules.
+//!    `fused.rs`, `deque.rs`, and the byte codec `codec.rs` that every
+//!    disk- and network-facing decoder reads through) outside their
+//!    `#[cfg(test)]` modules.
 //! 3. **`kernel-alloc`** — no heap allocation and no wall-clock reads
 //!    (`vec!`, `Box::new`, `collect`, `format!`, `Instant::now`, …)
 //!    in the numeric kernel files outside tests. `Vec::new()` is
@@ -39,12 +41,14 @@ pub struct Violation {
 }
 
 /// Modules where a panic is an outage, not a bug report: the inner
-/// pixel loops and the work-stealing deque.
+/// pixel loops, the work-stealing deque, and the codec that decodes
+/// untrusted bytes from disk and the network.
 const HOT_PATH_FILES: &[&str] = &[
     "crates/core/src/bvn.rs",
     "crates/core/src/likelihood.rs",
     "crates/linalg/src/fused.rs",
     "crates/par/src/deque.rs",
+    "crates/survey/src/codec.rs",
 ];
 
 /// Numeric kernel files: additionally no allocation or clock reads

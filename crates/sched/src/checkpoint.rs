@@ -1,8 +1,8 @@
 //! Durable campaign checkpoints: completed region results serialized
 //! periodically so a killed campaign resumes instead of restarting.
 //!
-//! Format (`SCKP`, little-endian via the vendored `bytes` cursor API,
-//! like the image/catalog codec in `celeste_survey::io`):
+//! Format (`SCKP`, little-endian, read through the checked
+//! `celeste_survey::codec::Reader` like every other binary format):
 //!
 //! ```text
 //! magic "SCKP" | version u16 | fingerprint u64 | n_regions u32
@@ -16,8 +16,8 @@
 //! ```
 //!
 //! The fingerprint hashes the task plan `(id, stage)*`; a checkpoint
-//! only loads against the plan that produced it. Writes go to a temp
-//! file in the same directory and rename into place, so a crash
+//! only loads against the plan that produced it. Writes go through
+//! `codec::write_atomic` (`path` + `.tmp`, then rename), so a crash
 //! mid-write leaves the previous checkpoint intact. Since completed
 //! attempts are deterministic and never re-run on resume, parameters
 //! are stored bit-exactly (`f64::to_bits`) and the resumed catalog is
@@ -27,9 +27,9 @@ use crate::campaign::{RegionProvenance, RegionResult};
 use crate::fault::mix64;
 use crate::partition::RegionTask;
 use crate::runtime::RegionStats;
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::BufMut;
 use celeste_core::{SourceParams, NUM_PARAMS};
-use celeste_survey::bands::Band;
+use celeste_survey::codec::{band, put_header, write_atomic, CodecError, Reader, Version};
 use celeste_survey::skygeom::{FieldId, SkyCoord};
 use std::path::{Path, PathBuf};
 
@@ -88,6 +88,12 @@ impl std::fmt::Display for CheckpointError {
     }
 }
 
+impl From<CodecError> for CheckpointError {
+    fn from(e: CodecError) -> Self {
+        CheckpointError::Malformed(e.to_string())
+    }
+}
+
 impl std::error::Error for CheckpointError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
@@ -121,9 +127,8 @@ pub struct Checkpoint {
 impl Checkpoint {
     /// Serialize to the `SCKP` byte format.
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = BytesMut::with_capacity(64 + self.completed.len() * 512);
-        b.put_slice(MAGIC);
-        b.put_u16_le(VERSION);
+        let mut b = Vec::with_capacity(64 + self.completed.len() * 512);
+        put_header(&mut b, MAGIC, Version::U16(VERSION));
         b.put_u64_le(self.fingerprint);
         b.put_u32_le(self.completed.len() as u32);
         for r in &self.completed {
@@ -159,127 +164,32 @@ impl Checkpoint {
                 b.put_u8(band.index() as u8);
             }
         }
-        b.freeze().to_vec()
+        b
     }
 
     /// Decode an `SCKP` buffer.
-    pub fn decode(mut buf: &[u8]) -> Result<Checkpoint, CheckpointError> {
-        fn need(buf: &&[u8], n: usize, what: &str) -> Result<(), CheckpointError> {
-            if buf.remaining() < n {
-                Err(CheckpointError::Malformed(format!(
-                    "truncated reading {what}"
-                )))
-            } else {
-                Ok(())
-            }
-        }
-        need(&buf, 4 + 2 + 8 + 4, "header")?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(CheckpointError::Malformed("bad magic".into()));
-        }
-        let version = buf.get_u16_le();
-        if version != VERSION {
-            return Err(CheckpointError::Malformed(format!(
-                "unsupported version {version}"
-            )));
-        }
-        let fingerprint = buf.get_u64_le();
-        let n_regions = buf.get_u32_le() as usize;
-        // Preallocation is capped by what the buffer could possibly
-        // hold (the minimum encoded region is 85 bytes), so a
-        // length-lying header can cost at most `remaining / 85`
-        // reserved slots — never an OOM-sized reservation.
+    pub fn decode(buf: &[u8]) -> Result<Checkpoint, CheckpointError> {
+        let mut r = Reader::open(buf, MAGIC, Version::U16(VERSION))?;
+        let fingerprint = r.u64()?;
+        let n_regions = r.u32()? as usize;
+        // The smallest encoded region (no sources, no keys) is 85
+        // bytes, which bounds what a lying count can reserve.
         const MIN_REGION_BYTES: usize = 8 + 1 + 4 + 4 + 7 * 8 + 8 + 4;
-        let mut completed = Vec::with_capacity(n_regions.min(buf.remaining() / MIN_REGION_BYTES));
+        let mut completed = Vec::with_capacity(r.cap(n_regions, MIN_REGION_BYTES));
         for _ in 0..n_regions {
-            need(&buf, 8 + 1 + 4 + 4, "region header")?;
-            let task_id = buf.get_u64_le();
-            let stage = buf.get_u8();
-            let node = buf.get_u32_le() as usize;
-            let n_sources = buf.get_u32_le() as usize;
-            let per_source = 8 + 16 + NUM_PARAMS * 8;
-            let body = n_sources
-                .checked_mul(per_source)
-                .and_then(|b| b.checked_add(7 * 8))
-                .ok_or_else(|| {
-                    CheckpointError::Malformed("source count overflows region body".into())
-                })?;
-            need(&buf, body, "region body")?;
-            // `need` proved the bytes exist, so this reservation is
-            // bounded by the actual buffer size.
-            let mut sources = Vec::with_capacity(n_sources);
-            for _ in 0..n_sources {
-                let id = buf.get_u64_le();
-                let ra = buf.get_f64_le();
-                let dec = buf.get_f64_le();
-                let mut params = [0.0f64; NUM_PARAMS];
-                for p in &mut params {
-                    *p = buf.get_f64_le();
-                }
-                sources.push(SourceParams {
-                    id,
-                    base_pos: SkyCoord::new(ra, dec),
-                    params,
-                });
-            }
-            let mut stat = [0u64; 7];
-            for s in &mut stat {
-                *s = buf.get_u64_le();
-            }
-            need(&buf, 8 + 4, "provenance header")?;
-            let config_hash = buf.get_u64_le();
-            let n_keys = buf.get_u32_le() as usize;
-            let keys_bytes = n_keys.checked_mul(4 + 2 + 2 + 1).ok_or_else(|| {
-                CheckpointError::Malformed("key count overflows provenance body".into())
-            })?;
-            need(&buf, keys_bytes, "provenance keys")?;
-            // Bounded by the actual buffer size, as above.
-            let mut image_keys = Vec::with_capacity(n_keys);
-            for _ in 0..n_keys {
-                let run = buf.get_u32_le();
-                let camcol = buf.get_u16_le();
-                let field = buf.get_u16_le();
-                let band_idx = buf.get_u8() as usize;
-                let band = *Band::ALL.get(band_idx).ok_or_else(|| {
-                    CheckpointError::Malformed(format!("band index {band_idx} out of range"))
-                })?;
-                image_keys.push((FieldId { run, camcol, field }, band));
-            }
-            completed.push(RegionResult {
-                task_id,
-                stage,
-                node,
-                sources,
-                stats: RegionStats {
-                    passes: stat[0] as usize,
-                    batches: stat[1] as usize,
-                    fits: stat[2] as usize,
-                    newton_iters: stat[3] as usize,
-                    conflict_edges: stat[4] as usize,
-                    active_pixels: stat[5] as usize,
-                    graph_builds: stat[6] as usize,
-                },
-                provenance: RegionProvenance {
-                    image_keys,
-                    config_hash,
-                },
-            });
+            completed.push(decode_region(&mut r)?);
         }
+        r.finish()?;
         Ok(Checkpoint {
             fingerprint,
             completed,
         })
     }
 
-    /// Atomically write to `path`: encode to `path` + `.tmp` in the
-    /// same directory, then rename over the target, so a crash
+    /// Atomically write to `path` (see [`write_atomic`]), so a crash
     /// mid-write never corrupts an existing checkpoint.
     pub fn save(&self, path: &Path) -> Result<(), CheckpointError> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.encode()).map_err(CheckpointError::Io)?;
-        std::fs::rename(&tmp, path).map_err(CheckpointError::Io)
+        write_atomic(path, &self.encode()).map_err(CheckpointError::Io)
     }
 
     /// Load from `path` and verify it belongs to the plan with
@@ -297,9 +207,61 @@ impl Checkpoint {
     }
 }
 
+fn decode_region(r: &mut Reader<'_>) -> Result<RegionResult, CodecError> {
+    const SOURCE_BYTES: usize = 8 + 16 + NUM_PARAMS * 8;
+    let task_id = r.u64()?;
+    let stage = r.u8()?;
+    let node = r.u32()? as usize;
+    let n_sources = r.u32()? as usize;
+    let sources = r.items(n_sources, SOURCE_BYTES, "sources", |r| {
+        let id = r.u64()?;
+        let base_pos = SkyCoord::new(r.f64()?, r.f64()?);
+        let mut params = [0.0f64; NUM_PARAMS];
+        for p in &mut params {
+            *p = r.f64()?;
+        }
+        Ok(SourceParams {
+            id,
+            base_pos,
+            params,
+        })
+    })?;
+    let stats = RegionStats {
+        passes: r.u64()? as usize,
+        batches: r.u64()? as usize,
+        fits: r.u64()? as usize,
+        newton_iters: r.u64()? as usize,
+        conflict_edges: r.u64()? as usize,
+        active_pixels: r.u64()? as usize,
+        graph_builds: r.u64()? as usize,
+    };
+    let config_hash = r.u64()?;
+    let n_keys = r.u32()? as usize;
+    let image_keys = r.items(n_keys, 4 + 2 + 2 + 1, "provenance keys", |r| {
+        let field = FieldId {
+            run: r.u32()?,
+            camcol: r.u16()?,
+            field: r.u16()?,
+        };
+        Ok((field, band(r.u8()?)?))
+    })?;
+    Ok(RegionResult {
+        task_id,
+        stage,
+        node,
+        sources,
+        stats,
+        provenance: RegionProvenance {
+            image_keys,
+            config_hash,
+        },
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use celeste_survey::bands::Band;
     use celeste_survey::skygeom::SkyRect;
 
     fn region(task_id: u64, n_sources: u64) -> RegionResult {

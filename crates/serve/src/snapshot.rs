@@ -3,31 +3,36 @@
 //! A daemon periodically freezes its [`CatalogStore`] to one file so
 //! a restart serves the full catalog instantly, with zero refits, and
 //! so cold cells can be evicted from memory and faulted back in on
-//! demand. Format (little-endian, `bytes` cursor API like `SCKP`):
+//! demand. Format (little-endian, read through the checked
+//! `celeste_survey::codec::Reader` like every other binary format):
 //!
 //! ```text
 //! magic "SCST" | version u16 | fingerprint u64 | level u8 | n_cells u32
 //! per cell: level u8 | ix u32 | iy u32 | n_entries u32 | n × entry
 //! ```
 //!
-//! Entries use the fixed-width 97-byte SCQP encoding
-//! ([`wire::ENTRY_BYTES`]), which is what makes partial loads cheap:
-//! [`Snapshot::load_cells`] skips an unwanted cell in O(1) by
-//! advancing `n_entries × 97` bytes instead of decoding it. The
+//! Entries use the fixed-width 97-byte layout of
+//! `celeste_survey::codec` ([`ENTRY_BYTES`]) that SCQP and SCAT share,
+//! which is what makes partial loads cheap: [`Snapshot::decode`] and
+//! [`Snapshot::load_cells`] walk the cells the same way, and the
+//! partial load skips an unwanted cell in O(1) by advancing
+//! `n_entries × 97` bytes instead of decoding it. The
 //! fingerprint is [`catalog_content_hash`] over all entries in
 //! ascending-id order — a full [`Snapshot::load`] recomputes and
 //! verifies it, so bit rot surfaces as a typed
 //! [`SnapshotError::FingerprintMismatch`], never a silently wrong
-//! catalog. Writes go to `path + ".tmp"` and rename into place
-//! (crash mid-write leaves the previous snapshot intact). Parameters
-//! are stored bit-exactly (`f64` bits pass through unchanged), so a
-//! restarted daemon answers queries bit-identically to the one that
-//! wrote the file.
+//! catalog. Writes go through `codec::write_atomic` (`path` + `.tmp`,
+//! then rename), so a crash mid-write leaves the previous snapshot
+//! intact. Parameters are stored bit-exactly (`f64` bits pass through
+//! unchanged), so a restarted daemon answers queries bit-identically
+//! to the one that wrote the file.
 
-use crate::wire::{self, ENTRY_BYTES};
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::BufMut;
 use celeste_store::{catalog_content_hash, CatalogStore};
 use celeste_survey::catalog::{Catalog, CatalogEntry};
+use celeste_survey::codec::{
+    put_entry, put_header, write_atomic, CodecError, Reader, Version, ENTRY_BYTES,
+};
 use celeste_survey::skygeom::CellId;
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
@@ -65,6 +70,12 @@ impl std::fmt::Display for SnapshotError {
                  (header {found:#018x}, content {expected:#018x})"
             ),
         }
+    }
+}
+
+impl From<CodecError> for SnapshotError {
+    fn from(e: CodecError) -> Self {
+        SnapshotError::Malformed(e.to_string())
     }
 }
 
@@ -133,9 +144,8 @@ impl Snapshot {
     /// Serialize to the `SCST` byte format.
     pub fn encode(&self) -> Vec<u8> {
         let n_entries: usize = self.cells.iter().map(|(_, c)| c.len()).sum();
-        let mut b = BytesMut::with_capacity(32 + self.cells.len() * 16 + n_entries * ENTRY_BYTES);
-        b.put_slice(MAGIC);
-        b.put_u16_le(VERSION);
+        let mut b = Vec::with_capacity(19 + self.cells.len() * 13 + n_entries * ENTRY_BYTES);
+        put_header(&mut b, MAGIC, Version::U16(VERSION));
         b.put_u64_le(self.fingerprint);
         b.put_u8(self.level);
         b.put_u32_le(self.cells.len() as u32);
@@ -145,15 +155,24 @@ impl Snapshot {
             b.put_u32_le(cell.iy);
             b.put_u32_le(entries.len() as u32);
             for e in entries {
-                wire::put_entry_bytes(&mut b, e);
+                put_entry(&mut b, e);
             }
         }
-        b.freeze().to_vec()
+        b
     }
 
     /// Decode an `SCST` buffer and verify its fingerprint.
     pub fn decode(buf: &[u8]) -> Result<Snapshot, SnapshotError> {
-        let snap = Snapshot::decode_unverified(buf)?;
+        let mut cells = Vec::new();
+        let (fingerprint, level) = Snapshot::walk(buf, |cell, n, mut body| {
+            cells.push((cell, body.entries(n)?));
+            Ok(())
+        })?;
+        let snap = Snapshot {
+            level,
+            fingerprint,
+            cells,
+        };
         let expected = catalog_content_hash(&Catalog::new(snap.entries()));
         if snap.fingerprint != expected {
             return Err(SnapshotError::FingerprintMismatch {
@@ -164,75 +183,40 @@ impl Snapshot {
         Ok(snap)
     }
 
-    fn decode_unverified(mut buf: &[u8]) -> Result<Snapshot, SnapshotError> {
-        fn need(buf: &&[u8], n: usize, what: &str) -> Result<(), SnapshotError> {
-            if buf.remaining() < n {
-                Err(SnapshotError::Malformed(format!(
-                    "truncated reading {what}"
-                )))
-            } else {
-                Ok(())
-            }
-        }
-        need(&buf, 4 + 2 + 8 + 1 + 4, "header")?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(SnapshotError::Malformed("bad magic".into()));
-        }
-        let version = buf.get_u16_le();
-        if version != VERSION {
-            return Err(SnapshotError::Malformed(format!(
-                "unsupported version {version}"
-            )));
-        }
-        let fingerprint = buf.get_u64_le();
-        let level = buf.get_u8();
-        let n_cells = buf.get_u32_le() as usize;
-        // Bounded reservation: a length-lying header can reserve at
-        // most `remaining / 13` slots (the minimum encoded cell).
-        const MIN_CELL_BYTES: usize = 1 + 4 + 4 + 4;
-        let mut cells = Vec::with_capacity(n_cells.min(buf.remaining() / MIN_CELL_BYTES));
+    /// The one cell walk behind [`Snapshot::decode`] and
+    /// [`Snapshot::load_cells`]: check the header and every cell's
+    /// structure, and hand `visit` each cell's id, entry count and a
+    /// reader over exactly its entries (one length check per cell); a
+    /// body `visit` does not read is skipped in O(1). Returns the
+    /// stored fingerprint (not verified here) and level.
+    fn walk<'a>(
+        buf: &'a [u8],
+        mut visit: impl FnMut(CellId, usize, Reader<'a>) -> Result<(), CodecError>,
+    ) -> Result<(u64, u8), CodecError> {
+        let mut r = Reader::open(buf, MAGIC, Version::U16(VERSION))?;
+        let fingerprint = r.u64()?;
+        let level = r.u8()?;
+        let n_cells = r.u32()? as usize;
         for _ in 0..n_cells {
-            need(&buf, MIN_CELL_BYTES, "cell header")?;
             let cell = CellId {
-                level: buf.get_u8(),
-                ix: buf.get_u32_le(),
-                iy: buf.get_u32_le(),
+                level: r.u8()?,
+                ix: r.u32()?,
+                iy: r.u32()?,
             };
-            let n_entries = buf.get_u32_le() as usize;
-            let body = n_entries.checked_mul(ENTRY_BYTES).ok_or_else(|| {
-                SnapshotError::Malformed("entry count overflows cell body".into())
-            })?;
-            need(&buf, body, "cell entries")?;
-            // `need` proved the bytes exist; bounded reservation.
-            let mut entries = Vec::with_capacity(n_entries);
-            for _ in 0..n_entries {
-                entries.push(
-                    wire::get_entry_bytes(&mut buf)
-                        .map_err(|e| SnapshotError::Malformed(e.to_string()))?,
-                );
-            }
-            cells.push((cell, entries));
+            let n_entries = r.u32()? as usize;
+            visit(
+                cell,
+                n_entries,
+                r.array(n_entries, ENTRY_BYTES, "cell entries")?,
+            )?;
         }
-        if !buf.is_empty() {
-            return Err(SnapshotError::Malformed(format!(
-                "{} trailing bytes",
-                buf.len()
-            )));
-        }
-        Ok(Snapshot {
-            level,
-            fingerprint,
-            cells,
-        })
+        r.finish()?;
+        Ok((fingerprint, level))
     }
 
-    /// Atomically write to `path` (temp file + rename, like `SCKP`).
+    /// Atomically write to `path` (see [`write_atomic`]).
     pub fn save(&self, path: &Path) -> Result<(), SnapshotError> {
-        let tmp = path.with_extension("tmp");
-        std::fs::write(&tmp, self.encode()).map_err(SnapshotError::Io)?;
-        std::fs::rename(&tmp, path).map_err(SnapshotError::Io)
+        write_atomic(path, &self.encode()).map_err(SnapshotError::Io)
     }
 
     /// Load and fingerprint-verify a full snapshot from `path`.
@@ -252,57 +236,13 @@ impl Snapshot {
         wanted: &BTreeSet<CellId>,
     ) -> Result<Vec<CatalogEntry>, SnapshotError> {
         let bytes = std::fs::read(path).map_err(SnapshotError::Io)?;
-        let mut buf: &[u8] = &bytes;
-        fn need(buf: &&[u8], n: usize, what: &str) -> Result<(), SnapshotError> {
-            if buf.remaining() < n {
-                Err(SnapshotError::Malformed(format!(
-                    "truncated reading {what}"
-                )))
-            } else {
-                Ok(())
-            }
-        }
-        need(&buf, 4 + 2 + 8 + 1 + 4, "header")?;
-        let mut magic = [0u8; 4];
-        buf.copy_to_slice(&mut magic);
-        if &magic != MAGIC {
-            return Err(SnapshotError::Malformed("bad magic".into()));
-        }
-        let version = buf.get_u16_le();
-        if version != VERSION {
-            return Err(SnapshotError::Malformed(format!(
-                "unsupported version {version}"
-            )));
-        }
-        let _fingerprint = buf.get_u64_le();
-        let _level = buf.get_u8();
-        let n_cells = buf.get_u32_le() as usize;
         let mut out = Vec::new();
-        for _ in 0..n_cells {
-            need(&buf, 1 + 4 + 4 + 4, "cell header")?;
-            let cell = CellId {
-                level: buf.get_u8(),
-                ix: buf.get_u32_le(),
-                iy: buf.get_u32_le(),
-            };
-            let n_entries = buf.get_u32_le() as usize;
-            let body = n_entries.checked_mul(ENTRY_BYTES).ok_or_else(|| {
-                SnapshotError::Malformed("entry count overflows cell body".into())
-            })?;
-            need(&buf, body, "cell entries")?;
+        Snapshot::walk(&bytes, |cell, n, mut body| {
             if wanted.contains(&cell) {
-                out.reserve(n_entries);
-                for _ in 0..n_entries {
-                    out.push(
-                        wire::get_entry_bytes(&mut buf)
-                            .map_err(|e| SnapshotError::Malformed(e.to_string()))?,
-                    );
-                }
-            } else {
-                // O(1) skip: `need` above proved `body` bytes exist.
-                buf = &buf[body..];
+                body.items_into(&mut out, n, ENTRY_BYTES, "cell entries", Reader::entry)?;
             }
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 }

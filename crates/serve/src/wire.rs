@@ -1,7 +1,8 @@
 //! `SCQP` v1 — the catalog query wire protocol.
 //!
-//! Frames are length-prefixed little-endian, built with the vendored
-//! `bytes` cursor API exactly the way `SCKP` frames checkpoints:
+//! Frames are length-prefixed little-endian, written with the vendored
+//! `bytes` [`BufMut`] API and read through the checked
+//! `celeste_survey::codec::Reader` that every binary format shares:
 //!
 //! ```text
 //! on wire:  len u32 | payload (len bytes)
@@ -15,11 +16,12 @@
 //! response so clients can detect desync.
 //!
 //! Decoding never panics and never preallocates more than the buffer
-//! could possibly hold: every read is preceded by a `need()` length
-//! check, counts go through `checked_mul`, and `Vec::with_capacity`
-//! is capped by `remaining / MIN_ITEM_BYTES` — the same hardening the
-//! `SCKP` checkpoint decoder established. Malformed input yields a
-//! typed [`WireError`], and a server answers it with an
+//! could possibly hold: the codec `Reader` checks every read, puts
+//! each counted body through `checked_mul` and one length check
+//! before reserving it, and rejects trailing bytes. Entries use the
+//! shared 97-byte layout of `celeste_survey::codec`, so SCST snapshot
+//! cells and wire responses are byte-compatible. Malformed input
+//! yields a typed [`WireError`], and a server answers it with an
 //! [`ErrorFrame`] before dropping the connection.
 //!
 //! Sky rects are reassembled as struct literals, not via
@@ -27,11 +29,13 @@
 //! garbage bounds into a panic; an inverted rect is instead a valid
 //! value that simply covers no cells.
 
-use bytes::{Buf, BufMut, BytesMut};
+use bytes::BufMut;
 use celeste_store::{CatalogQuery, CatalogStoreStats, CellOccupancy, SourceFilter};
-use celeste_survey::bands::Band;
-use celeste_survey::catalog::{CatalogEntry, GalaxyShape, SourceType};
+use celeste_survey::catalog::CatalogEntry;
+use celeste_survey::codec::{self, put_entry, put_header, CodecError, Reader, Version};
 use celeste_survey::skygeom::{CellId, SkyCoord, SkyRect};
+
+pub use celeste_survey::codec::ENTRY_BYTES;
 
 /// Frame magic: every SCQP payload starts with these four bytes.
 pub const MAGIC: &[u8; 4] = b"SCQP";
@@ -39,9 +43,6 @@ pub const MAGIC: &[u8; 4] = b"SCQP";
 pub const VERSION: u16 = 1;
 /// Bytes of payload before the kind-specific body.
 pub const HEADER_BYTES: usize = 4 + 2 + 8 + 1;
-/// One encoded [`CatalogEntry`]: id + position + type + flux +
-/// 4 colors + 4 shape parameters.
-pub const ENTRY_BYTES: usize = 8 + 16 + 1 + 8 + 32 + 32;
 /// One encoded cone hit: an entry plus its separation.
 pub const CONE_HIT_BYTES: usize = ENTRY_BYTES + 8;
 /// One encoded [`CellOccupancy`] row in a stats response.
@@ -81,6 +82,15 @@ impl std::fmt::Display for WireError {
 }
 
 impl std::error::Error for WireError {}
+
+impl From<CodecError> for WireError {
+    fn from(e: CodecError) -> Self {
+        match e {
+            CodecError::UnsupportedVersion(v) => WireError::UnsupportedVersion(v),
+            other => WireError::Malformed(other.to_string()),
+        }
+    }
+}
 
 /// What went wrong, as carried by an [`ErrorFrame`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -197,43 +207,37 @@ pub struct Frame {
     pub body: Body,
 }
 
-fn put_header(b: &mut BytesMut, request_id: u64, kind: u8) {
-    b.put_slice(MAGIC);
-    b.put_u16_le(VERSION);
+/// One on-wire frame: a length prefix, the payload header, then what
+/// `body` writes (`body_bytes` sizes the buffer). The frame is built
+/// in one buffer and the prefix patched once the length is known.
+fn frame(request_id: u64, kind: u8, body_bytes: usize, body: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut b = Vec::with_capacity(4 + HEADER_BYTES + body_bytes);
+    b.put_u32_le(0);
+    put_header(&mut b, MAGIC, Version::U16(VERSION));
     b.put_u64_le(request_id);
     b.put_u8(kind);
+    body(&mut b);
+    let len = (b.len() - 4) as u32;
+    if let Some(prefix) = b.first_chunk_mut::<4>() {
+        *prefix = len.to_le_bytes();
+    }
+    b
 }
 
-fn put_entry(b: &mut BytesMut, e: &CatalogEntry) {
-    b.put_u64_le(e.id);
-    b.put_f64_le(e.pos.ra);
-    b.put_f64_le(e.pos.dec);
-    b.put_u8(match e.source_type {
-        SourceType::Star => 0,
-        SourceType::Galaxy => 1,
-    });
-    b.put_f64_le(e.flux_r_nmgy);
-    for c in e.colors {
-        b.put_f64_le(c);
-    }
-    for v in [
-        e.shape.frac_dev,
-        e.shape.axis_ratio,
-        e.shape.angle_rad,
-        e.shape.radius_arcsec,
-    ] {
-        b.put_f64_le(v);
-    }
+fn put_cone(b: &mut Vec<u8>, center: &SkyCoord, radius_arcsec: f64) {
+    b.put_f64_le(center.ra);
+    b.put_f64_le(center.dec);
+    b.put_f64_le(radius_arcsec);
 }
 
-fn put_rect(b: &mut BytesMut, r: &SkyRect) {
+fn put_rect(b: &mut Vec<u8>, r: &SkyRect) {
     b.put_f64_le(r.ra_min);
     b.put_f64_le(r.ra_max);
     b.put_f64_le(r.dec_min);
     b.put_f64_le(r.dec_max);
 }
 
-fn put_filter(b: &mut BytesMut, f: &SourceFilter) {
+fn put_filter(b: &mut Vec<u8>, f: &SourceFilter) {
     let mut flags = 0u8;
     if f.source_type.is_some() {
         flags |= 1;
@@ -242,10 +246,7 @@ fn put_filter(b: &mut BytesMut, f: &SourceFilter) {
         flags |= 2;
     }
     b.put_u8(flags);
-    b.put_u8(match f.source_type {
-        Some(SourceType::Galaxy) => 1,
-        _ => 0,
-    });
+    b.put_u8(f.source_type.map_or(0, codec::source_type_code));
     let (band, min) = f
         .min_flux
         .map_or((0u8, 0.0), |(band, min)| (band.index() as u8, min));
@@ -253,356 +254,206 @@ fn put_filter(b: &mut BytesMut, f: &SourceFilter) {
     b.put_f64_le(min);
 }
 
-fn finish(b: BytesMut) -> Vec<u8> {
-    let payload = b.freeze().to_vec();
-    let mut out = Vec::with_capacity(4 + payload.len());
-    out.put_u32_le(payload.len() as u32);
-    out.extend_from_slice(&payload);
-    out
-}
-
 /// Encode a request as a full on-wire frame (length prefix included).
 pub fn encode_request(request_id: u64, req: &Request) -> Vec<u8> {
-    let mut b = BytesMut::with_capacity(HEADER_BYTES + 64);
     match req {
-        Request::Query(q) => {
-            put_header(&mut b, request_id, 1);
-            match q {
-                CatalogQuery::Cone {
-                    center,
-                    radius_arcsec,
-                } => {
-                    b.put_u8(0);
-                    b.put_f64_le(center.ra);
-                    b.put_f64_le(center.dec);
-                    b.put_f64_le(*radius_arcsec);
-                }
-                CatalogQuery::Rect { rect, filter } => {
-                    b.put_u8(1);
-                    put_rect(&mut b, rect);
-                    put_filter(&mut b, filter);
-                }
-                CatalogQuery::BrightestN { n, within } => {
-                    b.put_u8(2);
-                    b.put_u32_le((*n).min(u32::MAX as usize) as u32);
-                    match within {
-                        Some(rect) => {
-                            b.put_u8(1);
-                            put_rect(&mut b, rect);
-                        }
-                        None => b.put_u8(0),
+        Request::Query(q) => frame(request_id, 1, 64, |b| match q {
+            CatalogQuery::Cone {
+                center,
+                radius_arcsec,
+            } => {
+                b.put_u8(0);
+                put_cone(b, center, *radius_arcsec);
+            }
+            CatalogQuery::Rect { rect, filter } => {
+                b.put_u8(1);
+                put_rect(b, rect);
+                put_filter(b, filter);
+            }
+            CatalogQuery::BrightestN { n, within } => {
+                b.put_u8(2);
+                b.put_u32_le((*n).min(u32::MAX as usize) as u32);
+                match within {
+                    Some(rect) => {
+                        b.put_u8(1);
+                        put_rect(b, rect);
                     }
+                    None => b.put_u8(0),
                 }
             }
-        }
+        }),
         Request::Cone {
             center,
             radius_arcsec,
-        } => {
-            put_header(&mut b, request_id, 2);
-            b.put_f64_le(center.ra);
-            b.put_f64_le(center.dec);
-            b.put_f64_le(*radius_arcsec);
-        }
-        Request::Stats => put_header(&mut b, request_id, 3),
-        Request::Ping => put_header(&mut b, request_id, 4),
+        } => frame(request_id, 2, 24, |b| put_cone(b, center, *radius_arcsec)),
+        Request::Stats => frame(request_id, 3, 0, |_| {}),
+        Request::Ping => frame(request_id, 4, 0, |_| {}),
     }
-    finish(b)
 }
 
 /// Encode a response as a full on-wire frame (length prefix included).
 pub fn encode_response(request_id: u64, resp: &Response) -> Vec<u8> {
-    let mut b = BytesMut::with_capacity(HEADER_BYTES + 64);
     match resp {
         Response::Entries(entries) => {
-            put_header(&mut b, request_id, 0x81);
-            b.put_u32_le(entries.len() as u32);
-            for e in entries {
-                put_entry(&mut b, e);
-            }
+            frame(request_id, 0x81, 4 + entries.len() * ENTRY_BYTES, |b| {
+                b.put_u32_le(entries.len() as u32);
+                for e in entries {
+                    put_entry(b, e);
+                }
+            })
         }
-        Response::Cone(hits) => {
-            put_header(&mut b, request_id, 0x82);
+        Response::Cone(hits) => frame(request_id, 0x82, 4 + hits.len() * CONE_HIT_BYTES, |b| {
             b.put_u32_le(hits.len() as u32);
             for (e, sep) in hits {
-                put_entry(&mut b, e);
+                put_entry(b, e);
                 b.put_f64_le(*sep);
             }
-        }
-        Response::Stats(s) => {
-            put_header(&mut b, request_id, 0x83);
-            for v in [
-                s.entries as u64,
-                s.cells as u64,
-                s.regions_ingested,
-                s.cache_entries as u64,
-                s.cache_hits,
-                s.queries,
-            ] {
-                b.put_u64_le(v);
-            }
-            b.put_u32_le(s.per_cell.len() as u32);
-            for o in &s.per_cell {
-                b.put_u8(o.cell.level);
-                b.put_u32_le(o.cell.ix);
-                b.put_u32_le(o.cell.iy);
-                b.put_u32_le(o.entries.min(u32::MAX as usize) as u32);
-                b.put_u64_le(o.touches);
-                b.put_u64_le(o.last_touch);
-            }
-        }
-        Response::Pong => put_header(&mut b, request_id, 0x84),
+        }),
+        Response::Stats(s) => frame(
+            request_id,
+            0x83,
+            6 * 8 + 4 + s.per_cell.len() * CELL_OCC_BYTES,
+            |b| {
+                for v in [
+                    s.entries as u64,
+                    s.cells as u64,
+                    s.regions_ingested,
+                    s.cache_entries as u64,
+                    s.cache_hits,
+                    s.queries,
+                ] {
+                    b.put_u64_le(v);
+                }
+                b.put_u32_le(s.per_cell.len() as u32);
+                for o in &s.per_cell {
+                    b.put_u8(o.cell.level);
+                    b.put_u32_le(o.cell.ix);
+                    b.put_u32_le(o.cell.iy);
+                    b.put_u32_le(o.entries.min(u32::MAX as usize) as u32);
+                    b.put_u64_le(o.touches);
+                    b.put_u64_le(o.last_touch);
+                }
+            },
+        ),
+        Response::Pong => frame(request_id, 0x84, 0, |_| {}),
         Response::Error(e) => {
-            put_header(&mut b, request_id, 0xFF);
-            b.put_u8(e.kind.code());
             let msg = e.message.as_bytes();
-            b.put_u32_le(msg.len() as u32);
-            b.put_slice(msg);
+            frame(request_id, 0xFF, 5 + msg.len(), |b| {
+                b.put_u8(e.kind.code());
+                b.put_u32_le(msg.len() as u32);
+                b.put_slice(msg);
+            })
         }
     }
-    finish(b)
 }
 
-/// Append one fixed-width ([`ENTRY_BYTES`]) entry encoding — shared
-/// with the `SCST` snapshot codec so spilled cells and wire responses
-/// are byte-compatible.
-pub fn put_entry_bytes(b: &mut BytesMut, e: &CatalogEntry) {
-    put_entry(b, e);
+fn get_coord(r: &mut Reader<'_>) -> Result<SkyCoord, CodecError> {
+    Ok(SkyCoord {
+        ra: r.f64()?,
+        dec: r.f64()?,
+    })
 }
 
-/// Decode one fixed-width entry. The caller must have length-checked
-/// [`ENTRY_BYTES`] remaining.
-pub fn get_entry_bytes(buf: &mut &[u8]) -> Result<CatalogEntry, WireError> {
-    get_entry(buf)
+fn get_rect(r: &mut Reader<'_>) -> Result<SkyRect, CodecError> {
+    // Struct literal, NOT SkyRect::new: its debug assertion would
+    // panic on inverted garbage bounds; as a plain value an inverted
+    // rect just covers no cells and matches nothing.
+    Ok(SkyRect {
+        ra_min: r.f64()?,
+        ra_max: r.f64()?,
+        dec_min: r.f64()?,
+        dec_max: r.f64()?,
+    })
 }
 
-fn need(buf: &&[u8], n: usize, what: &str) -> Result<(), WireError> {
-    if buf.remaining() < n {
-        Err(WireError::Malformed(format!("truncated reading {what}")))
-    } else {
-        Ok(())
+fn get_filter(r: &mut Reader<'_>) -> Result<SourceFilter, CodecError> {
+    let flags = r.u8()?;
+    if flags & !3 != 0 {
+        return Err(CodecError::Invalid(format!(
+            "unknown filter flags {flags:#04x}"
+        )));
     }
-}
-
-fn get_entry(buf: &mut &[u8]) -> Result<CatalogEntry, WireError> {
-    // Caller has `need`ed ENTRY_BYTES.
-    let id = buf.get_u64_le();
-    let ra = buf.get_f64_le();
-    let dec = buf.get_f64_le();
-    let source_type = match buf.get_u8() {
-        0 => SourceType::Star,
-        1 => SourceType::Galaxy,
-        other => return Err(WireError::Malformed(format!("unknown source type {other}"))),
-    };
-    let flux_r_nmgy = buf.get_f64_le();
-    let mut colors = [0.0f64; 4];
-    for c in &mut colors {
-        *c = buf.get_f64_le();
-    }
-    let mut shape = [0.0f64; 4];
-    for s in &mut shape {
-        *s = buf.get_f64_le();
-    }
-    Ok(CatalogEntry {
-        id,
-        pos: SkyCoord { ra, dec },
-        source_type,
-        flux_r_nmgy,
-        colors,
-        shape: GalaxyShape {
-            frac_dev: shape[0],
-            axis_ratio: shape[1],
-            angle_rad: shape[2],
-            radius_arcsec: shape[3],
+    let type_code = r.u8()?;
+    let band_code = r.u8()?;
+    let min = r.f64()?;
+    Ok(SourceFilter {
+        source_type: if flags & 1 != 0 {
+            Some(codec::source_type(type_code)?)
+        } else {
+            None
+        },
+        min_flux: if flags & 2 != 0 {
+            Some((codec::band(band_code)?, min))
+        } else {
+            None
         },
     })
 }
 
-fn get_rect(buf: &mut &[u8]) -> SkyRect {
-    // Struct literal, NOT SkyRect::new: its debug assertion would
-    // panic on inverted garbage bounds; as a plain value an inverted
-    // rect just covers no cells and matches nothing.
-    let ra_min = buf.get_f64_le();
-    let ra_max = buf.get_f64_le();
-    let dec_min = buf.get_f64_le();
-    let dec_max = buf.get_f64_le();
-    SkyRect {
-        ra_min,
-        ra_max,
-        dec_min,
-        dec_max,
-    }
-}
-
-fn get_filter(buf: &mut &[u8]) -> Result<SourceFilter, WireError> {
-    let flags = buf.get_u8();
-    if flags & !3 != 0 {
-        return Err(WireError::Malformed(format!(
-            "unknown filter flags {flags:#04x}"
-        )));
-    }
-    let type_code = buf.get_u8();
-    let band_code = buf.get_u8() as usize;
-    let min = buf.get_f64_le();
-    let source_type = if flags & 1 != 0 {
-        Some(match type_code {
-            0 => SourceType::Star,
-            1 => SourceType::Galaxy,
-            other => {
-                return Err(WireError::Malformed(format!(
-                    "unknown source type {other} in filter"
-                )))
-            }
-        })
-    } else {
-        None
-    };
-    let min_flux = if flags & 2 != 0 {
-        let band = *Band::ALL
-            .get(band_code)
-            .ok_or_else(|| WireError::Malformed(format!("band index {band_code} out of range")))?;
-        Some((band, min))
-    } else {
-        None
-    };
-    Ok(SourceFilter {
-        source_type,
-        min_flux,
-    })
-}
-
-const FILTER_BYTES: usize = 1 + 1 + 1 + 8;
-
-fn get_query(buf: &mut &[u8]) -> Result<CatalogQuery, WireError> {
-    need(buf, 1, "query tag")?;
-    match buf.get_u8() {
-        0 => {
-            need(buf, 24, "cone query")?;
-            let ra = buf.get_f64_le();
-            let dec = buf.get_f64_le();
-            let radius_arcsec = buf.get_f64_le();
-            Ok(CatalogQuery::Cone {
-                center: SkyCoord { ra, dec },
-                radius_arcsec,
-            })
-        }
-        1 => {
-            need(buf, 32 + FILTER_BYTES, "rect query")?;
-            let rect = get_rect(buf);
-            let filter = get_filter(buf)?;
-            Ok(CatalogQuery::Rect { rect, filter })
-        }
+fn get_query(r: &mut Reader<'_>) -> Result<CatalogQuery, CodecError> {
+    match r.u8()? {
+        0 => Ok(CatalogQuery::Cone {
+            center: get_coord(r)?,
+            radius_arcsec: r.f64()?,
+        }),
+        1 => Ok(CatalogQuery::Rect {
+            rect: get_rect(r)?,
+            filter: get_filter(r)?,
+        }),
         2 => {
-            need(buf, 4 + 1, "brightest-n query")?;
-            let n = buf.get_u32_le() as usize;
-            let within = match buf.get_u8() {
+            let n = r.u32()? as usize;
+            let within = match r.u8()? {
                 0 => None,
-                1 => {
-                    need(buf, 32, "brightest-n window")?;
-                    Some(get_rect(buf))
-                }
-                other => return Err(WireError::Malformed(format!("unknown within tag {other}"))),
+                1 => Some(get_rect(r)?),
+                other => return Err(CodecError::Invalid(format!("unknown within tag {other}"))),
             };
             Ok(CatalogQuery::BrightestN { n, within })
         }
-        other => Err(WireError::Malformed(format!("unknown query tag {other}"))),
-    }
-}
-
-fn check_drained(buf: &[u8]) -> Result<(), WireError> {
-    if buf.is_empty() {
-        Ok(())
-    } else {
-        Err(WireError::Malformed(format!(
-            "{} trailing bytes after body",
-            buf.len()
-        )))
+        other => Err(CodecError::Invalid(format!("unknown query tag {other}"))),
     }
 }
 
 /// Decode one SCQP payload (the bytes *after* the length prefix).
-pub fn decode_payload(mut buf: &[u8]) -> Result<Frame, WireError> {
-    need(&buf, HEADER_BYTES, "frame header")?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(WireError::Malformed("bad magic".into()));
-    }
-    let version = buf.get_u16_le();
-    if version != VERSION {
-        return Err(WireError::UnsupportedVersion(version));
-    }
-    let request_id = buf.get_u64_le();
-    let kind = buf.get_u8();
-    let body = match kind {
-        1 => Body::Request(Request::Query(get_query(&mut buf)?)),
-        2 => {
-            need(&buf, 24, "cone request")?;
-            let ra = buf.get_f64_le();
-            let dec = buf.get_f64_le();
-            let radius_arcsec = buf.get_f64_le();
-            Body::Request(Request::Cone {
-                center: SkyCoord { ra, dec },
-                radius_arcsec,
-            })
-        }
+pub fn decode_payload(buf: &[u8]) -> Result<Frame, WireError> {
+    let mut r = Reader::open(buf, MAGIC, Version::U16(VERSION))?;
+    let request_id = r.u64()?;
+    let body = match r.u8()? {
+        1 => Body::Request(Request::Query(get_query(&mut r)?)),
+        2 => Body::Request(Request::Cone {
+            center: get_coord(&mut r)?,
+            radius_arcsec: r.f64()?,
+        }),
         3 => Body::Request(Request::Stats),
         4 => Body::Request(Request::Ping),
         0x81 => {
-            need(&buf, 4, "entry count")?;
-            let n = buf.get_u32_le() as usize;
-            let body_bytes = n
-                .checked_mul(ENTRY_BYTES)
-                .ok_or_else(|| WireError::Malformed("entry count overflows body".into()))?;
-            need(&buf, body_bytes, "entries")?;
-            // `need` proved the bytes exist; bounded reservation.
-            let mut entries = Vec::with_capacity(n);
-            for _ in 0..n {
-                entries.push(get_entry(&mut buf)?);
-            }
-            Body::Response(Response::Entries(entries))
+            let n = r.u32()? as usize;
+            Body::Response(Response::Entries(r.entries(n)?))
         }
         0x82 => {
-            need(&buf, 4, "hit count")?;
-            let n = buf.get_u32_le() as usize;
-            let body_bytes = n
-                .checked_mul(CONE_HIT_BYTES)
-                .ok_or_else(|| WireError::Malformed("hit count overflows body".into()))?;
-            need(&buf, body_bytes, "cone hits")?;
-            let mut hits = Vec::with_capacity(n);
-            for _ in 0..n {
-                let e = get_entry(&mut buf)?;
-                let sep = buf.get_f64_le();
-                hits.push((e, sep));
-            }
+            let n = r.u32()? as usize;
+            let hits = r.items(n, CONE_HIT_BYTES, "cone hits", |r| {
+                Ok((r.entry()?, r.f64()?))
+            })?;
             Body::Response(Response::Cone(hits))
         }
         0x83 => {
-            need(&buf, 6 * 8 + 4, "stats header")?;
             let mut counters = [0u64; 6];
             for c in &mut counters {
-                *c = buf.get_u64_le();
+                *c = r.u64()?;
             }
-            let n = buf.get_u32_le() as usize;
-            let body_bytes = n
-                .checked_mul(CELL_OCC_BYTES)
-                .ok_or_else(|| WireError::Malformed("cell count overflows body".into()))?;
-            need(&buf, body_bytes, "per-cell stats")?;
-            let mut per_cell = Vec::with_capacity(n);
-            for _ in 0..n {
-                let level = buf.get_u8();
-                let ix = buf.get_u32_le();
-                let iy = buf.get_u32_le();
-                let entries = buf.get_u32_le() as usize;
-                let touches = buf.get_u64_le();
-                let last_touch = buf.get_u64_le();
-                per_cell.push(CellOccupancy {
-                    cell: CellId { level, ix, iy },
-                    entries,
-                    touches,
-                    last_touch,
-                });
-            }
+            let n = r.u32()? as usize;
+            let per_cell = r.items(n, CELL_OCC_BYTES, "per-cell stats", |r| {
+                Ok(CellOccupancy {
+                    cell: CellId {
+                        level: r.u8()?,
+                        ix: r.u32()?,
+                        iy: r.u32()?,
+                    },
+                    entries: r.u32()? as usize,
+                    touches: r.u64()?,
+                    last_touch: r.u64()?,
+                })
+            })?;
             Body::Response(Response::Stats(CatalogStoreStats {
                 entries: counters[0] as usize,
                 cells: counters[1] as usize,
@@ -615,16 +466,10 @@ pub fn decode_payload(mut buf: &[u8]) -> Result<Frame, WireError> {
         }
         0x84 => Body::Response(Response::Pong),
         0xFF => {
-            need(&buf, 1 + 4, "error frame header")?;
-            let kind = ErrorKind::from_code(buf.get_u8())?;
-            let len = buf.get_u32_le() as usize;
-            need(&buf, len, "error message")?;
-            let mut msg = vec![0u8; len];
-            buf.copy_to_slice(&mut msg);
-            Body::Response(Response::Error(ErrorFrame {
-                kind,
-                message: String::from_utf8_lossy(&msg).into_owned(),
-            }))
+            let kind = ErrorKind::from_code(r.u8()?)?;
+            let len = r.u32()? as usize;
+            let message = String::from_utf8_lossy(r.bytes(len, "error message")?).into_owned();
+            Body::Response(Response::Error(ErrorFrame { kind, message }))
         }
         other => {
             return Err(WireError::Malformed(format!(
@@ -632,13 +477,15 @@ pub fn decode_payload(mut buf: &[u8]) -> Result<Frame, WireError> {
             )))
         }
     };
-    check_drained(buf)?;
+    r.finish()?;
     Ok(Frame { request_id, body })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use celeste_survey::bands::Band;
+    use celeste_survey::catalog::{GalaxyShape, SourceType};
 
     fn entry(id: u64) -> CatalogEntry {
         CatalogEntry {
@@ -792,12 +639,10 @@ mod tests {
         // An Entries response claiming u32::MAX entries but carrying
         // none: must be a typed error, and must not reserve
         // gigabytes first.
-        let mut b = BytesMut::with_capacity(HEADER_BYTES + 4);
-        put_header(&mut b, 5, 0x81);
-        b.put_u32_le(u32::MAX);
-        let payload = b.freeze().to_vec();
+        let frame = frame(5, 0x81, 4, |b| b.put_u32_le(u32::MAX));
+        let payload = &frame[4..];
         assert!(matches!(
-            decode_payload(&payload),
+            decode_payload(payload),
             Err(WireError::Malformed(_))
         ));
     }

@@ -5,17 +5,22 @@
 //! one computes (paper §IV-A, §VII). This module provides the same
 //! moving parts at laptop scale: a binary container ("SIMG"), a
 //! directory-backed [`ImageStore`], and a [`Prefetcher`] that loads
-//! images on background threads ahead of use.
+//! images on background threads ahead of use. The SIMG image and SCAT
+//! catalog codecs read through the checked [`crate::codec::Reader`],
+//! and SCAT entries use the shared [`crate::codec`] entry layout.
 
 use crate::bands::Band;
+use crate::catalog::Catalog;
+use crate::codec::{
+    self, put_entry, put_header, write_atomic, CodecError, Reader, Version, ENTRY_BYTES,
+};
 use crate::image::Image;
 use crate::psf::{Psf, PsfComponent};
 use crate::skygeom::{FieldId, SkyCoord};
 use crate::wcs::Wcs;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
 use parking_lot::{Condvar, Mutex};
 use std::collections::HashMap;
-use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
@@ -27,7 +32,7 @@ const VERSION: u8 = 1;
 #[derive(Debug)]
 pub enum IoError {
     Io(std::io::Error),
-    /// The file did not parse as a SIMG container.
+    /// The file did not parse as a SIMG image or SCAT catalog.
     Format(String),
     /// A background prefetch worker failed to load the image (the
     /// underlying store error, carried as text across the worker
@@ -42,6 +47,12 @@ pub enum IoError {
 impl From<std::io::Error> for IoError {
     fn from(e: std::io::Error) -> Self {
         IoError::Io(e)
+    }
+}
+
+impl From<CodecError> for IoError {
+    fn from(e: CodecError) -> Self {
+        IoError::Format(e.to_string())
     }
 }
 
@@ -68,8 +79,7 @@ impl std::error::Error for IoError {
 /// Serialize an image to the SIMG binary layout.
 pub fn encode_image(img: &Image) -> Bytes {
     let mut b = BytesMut::with_capacity(128 + img.pixels.len() * 4);
-    b.put_slice(MAGIC);
-    b.put_u8(VERSION);
+    put_header(&mut b, MAGIC, Version::U8(VERSION));
     b.put_u32_le(img.field.run);
     b.put_u16_le(img.field.camcol);
     b.put_u16_le(img.field.field);
@@ -99,147 +109,65 @@ pub fn encode_image(img: &Image) -> Bytes {
 }
 
 /// Parse a SIMG buffer back into an [`Image`].
-pub fn decode_image(mut buf: &[u8]) -> Result<Image, IoError> {
-    let need = |buf: &[u8], n: usize, what: &str| -> Result<(), IoError> {
-        if buf.remaining() < n {
-            Err(IoError::Format(format!("truncated reading {what}")))
-        } else {
-            Ok(())
-        }
-    };
-    need(buf, 5, "header")?;
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != MAGIC {
-        return Err(IoError::Format("bad magic".into()));
-    }
-    let version = buf.get_u8();
-    if version != VERSION {
-        return Err(IoError::Format(format!("unsupported version {version}")));
-    }
-    need(buf, 4 + 2 + 2 + 1 + 8, "ids")?;
+pub fn decode_image(buf: &[u8]) -> Result<Image, IoError> {
+    let mut r = Reader::open(buf, MAGIC, Version::U8(VERSION))?;
     let field = FieldId {
-        run: buf.get_u32_le(),
-        camcol: buf.get_u16_le(),
-        field: buf.get_u16_le(),
+        run: r.u32()?,
+        camcol: r.u16()?,
+        field: r.u16()?,
     };
-    let band_idx = buf.get_u8() as usize;
-    if band_idx >= 5 {
-        return Err(IoError::Format(format!("bad band {band_idx}")));
-    }
-    let band = Band::from_index(band_idx);
-    let width = buf.get_u32_le() as usize;
-    let height = buf.get_u32_le() as usize;
-    need(buf, 8 * 8 + 16 + 1, "wcs+calib")?;
-    let sky0 = SkyCoord::new(buf.get_f64_le(), buf.get_f64_le());
-    let pix0 = [buf.get_f64_le(), buf.get_f64_le()];
-    let jac = [
-        [buf.get_f64_le(), buf.get_f64_le()],
-        [buf.get_f64_le(), buf.get_f64_le()],
-    ];
-    let sky_level = buf.get_f64_le();
-    let nmgy_to_counts = buf.get_f64_le();
-    let ncomp = buf.get_u8() as usize;
-    need(buf, ncomp * 16, "psf")?;
-    let mut components = Vec::with_capacity(ncomp);
-    for _ in 0..ncomp {
-        components.push(PsfComponent {
-            weight: buf.get_f64_le(),
-            sigma_px: buf.get_f64_le(),
-        });
-    }
-    need(buf, width * height * 4, "pixels")?;
-    let mut pixels = Vec::with_capacity(width * height);
-    for _ in 0..width * height {
-        pixels.push(buf.get_f32_le());
-    }
+    let band = codec::band(r.u8()?)?;
+    let width = r.u32()? as usize;
+    let height = r.u32()? as usize;
+    let wcs = Wcs {
+        sky0: SkyCoord::new(r.f64()?, r.f64()?),
+        pix0: [r.f64()?, r.f64()?],
+        jac: [[r.f64()?, r.f64()?], [r.f64()?, r.f64()?]],
+    };
+    let sky_level = r.f64()?;
+    let nmgy_to_counts = r.f64()?;
+    let n_components = usize::from(r.u8()?);
+    let components = r.items(n_components, 16, "psf", |r| {
+        Ok(PsfComponent {
+            weight: r.f64()?,
+            sigma_px: r.f64()?,
+        })
+    })?;
+    let n_pixels = width
+        .checked_mul(height)
+        .ok_or(CodecError::Overflow("pixels"))?;
+    let pixels = r.f32s(n_pixels, "pixels")?;
+    r.finish()?;
     Ok(Image {
         field,
         band,
-        wcs: Wcs { sky0, pix0, jac },
+        wcs,
         width,
         height,
         pixels,
         sky_level,
         nmgy_to_counts,
-        psf: std::sync::Arc::new(Psf { components }),
+        psf: Arc::new(Psf { components }),
     })
 }
 
 /// Serialize a catalog to the SCAT binary layout.
-pub fn encode_catalog(catalog: &crate::catalog::Catalog) -> Bytes {
-    let mut b = BytesMut::with_capacity(16 + catalog.len() * 96);
-    b.put_slice(CAT_MAGIC);
-    b.put_u8(VERSION);
+pub fn encode_catalog(catalog: &Catalog) -> Bytes {
+    let mut b = BytesMut::with_capacity(9 + catalog.len() * ENTRY_BYTES);
+    put_header(&mut b, CAT_MAGIC, Version::U8(VERSION));
     b.put_u32_le(catalog.len() as u32);
     for e in &catalog.entries {
-        b.put_u64_le(e.id);
-        b.put_f64_le(e.pos.ra);
-        b.put_f64_le(e.pos.dec);
-        b.put_u8(u8::from(!e.is_star()));
-        b.put_f64_le(e.flux_r_nmgy);
-        for &c in &e.colors {
-            b.put_f64_le(c);
-        }
-        b.put_f64_le(e.shape.frac_dev);
-        b.put_f64_le(e.shape.axis_ratio);
-        b.put_f64_le(e.shape.angle_rad);
-        b.put_f64_le(e.shape.radius_arcsec);
+        put_entry(&mut b, e);
     }
     b.freeze()
 }
 
 /// Parse a SCAT buffer back into a catalog.
-pub fn decode_catalog(mut buf: &[u8]) -> Result<crate::catalog::Catalog, IoError> {
-    use crate::catalog::{Catalog, CatalogEntry, GalaxyShape, SourceType};
-    if buf.remaining() < 9 {
-        return Err(IoError::Format("truncated catalog header".into()));
-    }
-    let mut magic = [0u8; 4];
-    buf.copy_to_slice(&mut magic);
-    if &magic != CAT_MAGIC {
-        return Err(IoError::Format("bad catalog magic".into()));
-    }
-    let version = buf.get_u8();
-    if version != VERSION {
-        return Err(IoError::Format(format!(
-            "unsupported catalog version {version}"
-        )));
-    }
-    let n = buf.get_u32_le() as usize;
-    let per_entry = 8 + 16 + 1 + 8 + 32 + 32;
-    if buf.remaining() < n * per_entry {
-        return Err(IoError::Format("truncated catalog entries".into()));
-    }
-    let mut entries = Vec::with_capacity(n);
-    for _ in 0..n {
-        let id = buf.get_u64_le();
-        let pos = SkyCoord::new(buf.get_f64_le(), buf.get_f64_le());
-        let is_gal = buf.get_u8() != 0;
-        let flux_r_nmgy = buf.get_f64_le();
-        let mut colors = [0.0; 4];
-        for c in &mut colors {
-            *c = buf.get_f64_le();
-        }
-        let shape = GalaxyShape {
-            frac_dev: buf.get_f64_le(),
-            axis_ratio: buf.get_f64_le(),
-            angle_rad: buf.get_f64_le(),
-            radius_arcsec: buf.get_f64_le(),
-        };
-        entries.push(CatalogEntry {
-            id,
-            pos,
-            source_type: if is_gal {
-                SourceType::Galaxy
-            } else {
-                SourceType::Star
-            },
-            flux_r_nmgy,
-            colors,
-            shape,
-        });
-    }
+pub fn decode_catalog(buf: &[u8]) -> Result<Catalog, IoError> {
+    let mut r = Reader::open(buf, CAT_MAGIC, Version::U8(VERSION))?;
+    let n = r.u32()? as usize;
+    let entries = r.entries(n)?;
+    r.finish()?;
     Ok(Catalog::new(entries))
 }
 
@@ -371,14 +299,10 @@ impl ImageStore {
         ))
     }
 
-    /// Persist an image.
+    /// Persist an image (atomically, see [`write_atomic`]).
     pub fn save(&self, img: &Image) -> Result<(), IoError> {
-        let bytes = encode_image(img);
         let path = self.path_for(&(img.field, img.band));
-        let mut f = std::io::BufWriter::new(std::fs::File::create(path)?);
-        f.write_all(&bytes)?;
-        f.flush()?;
-        Ok(())
+        Ok(write_atomic(&path, &encode_image(img))?)
     }
 
     /// Load an image. With [`ImageStore::with_load_faults`] attached,
@@ -388,31 +312,19 @@ impl ImageStore {
         if let Some(faults) = &self.faults {
             faults.check(key)?;
         }
-        let mut data = Vec::new();
-        std::fs::File::open(self.path_for(key))?.read_to_end(&mut data)?;
-        decode_image(&data)
+        decode_image(&std::fs::read(self.path_for(key))?)
     }
 
-    /// Persist a catalog under `name` (e.g. the campaign output).
-    pub fn save_catalog(
-        &self,
-        name: &str,
-        catalog: &crate::catalog::Catalog,
-    ) -> Result<(), IoError> {
-        let bytes = encode_catalog(catalog);
-        let mut f = std::io::BufWriter::new(std::fs::File::create(
-            self.root.join(format!("{name}.scat")),
-        )?);
-        f.write_all(&bytes)?;
-        f.flush()?;
-        Ok(())
+    /// Persist a catalog under `name` (e.g. the campaign output),
+    /// atomically.
+    pub fn save_catalog(&self, name: &str, catalog: &Catalog) -> Result<(), IoError> {
+        let path = self.root.join(format!("{name}.scat"));
+        Ok(write_atomic(&path, &encode_catalog(catalog))?)
     }
 
     /// Load a catalog previously saved with [`ImageStore::save_catalog`].
-    pub fn load_catalog(&self, name: &str) -> Result<crate::catalog::Catalog, IoError> {
-        let mut data = Vec::new();
-        std::fs::File::open(self.root.join(format!("{name}.scat")))?.read_to_end(&mut data)?;
-        decode_catalog(&data)
+    pub fn load_catalog(&self, name: &str) -> Result<Catalog, IoError> {
+        decode_catalog(&std::fs::read(self.root.join(format!("{name}.scat")))?)
     }
 
     /// All keys currently stored.
@@ -605,6 +517,52 @@ mod tests {
         // Truncated after header.
         let full = encode_image(&test_image(1, Band::R));
         assert!(decode_image(&full[..40]).is_err());
+    }
+
+    #[test]
+    fn decode_image_rejects_overflowing_dimensions_and_trailing_bytes() {
+        // A valid SIMG header claiming a 2^31 × 2^31 image: the pixel
+        // body length overflows `usize` and must be a typed error.
+        let mut header = Vec::new();
+        put_header(&mut header, MAGIC, Version::U8(VERSION));
+        header.put_u32_le(3704);
+        header.put_u16_le(3);
+        header.put_u16_le(91);
+        header.put_u8(2);
+        header.put_u32_le(0x8000_0000);
+        header.put_u32_le(0x8000_0000);
+        for _ in 0..10 {
+            header.put_f64_le(1.0);
+        }
+        header.put_u8(0);
+        assert!(matches!(decode_image(&header), Err(IoError::Format(_))));
+        header.extend_from_slice(&[0; 64]);
+        assert!(matches!(decode_image(&header), Err(IoError::Format(_))));
+
+        let mut trailing = encode_image(&test_image(1, Band::R)).to_vec();
+        trailing.push(0);
+        assert!(matches!(decode_image(&trailing), Err(IoError::Format(_))));
+    }
+
+    #[test]
+    fn decode_catalog_rejects_unknown_types_and_trailing_bytes() {
+        use crate::catalog::{CatalogEntry, GalaxyShape, SourceType};
+        let cat = Catalog::new(vec![CatalogEntry {
+            id: 5,
+            pos: SkyCoord::new(1.0, 2.0),
+            source_type: SourceType::Galaxy,
+            flux_r_nmgy: 3.0,
+            colors: [0.0; 4],
+            shape: GalaxyShape::round_disk(1.0),
+        }]);
+        let good = encode_catalog(&cat).to_vec();
+        // Source-type byte of the first entry: header 9 + id 8 + pos 16.
+        let mut bad_type = good.clone();
+        bad_type[9 + 24] = 7;
+        assert!(matches!(decode_catalog(&bad_type), Err(IoError::Format(_))));
+        let mut trailing = good;
+        trailing.extend_from_slice(b"junk");
+        assert!(matches!(decode_catalog(&trailing), Err(IoError::Format(_))));
     }
 
     #[test]

@@ -21,6 +21,8 @@
 //! * [`image`] / [`io`] — the in-memory image type, an on-disk binary
 //!   container ("SIMG"), and a prefetching loader that stands in for
 //!   the Burst Buffer staging path;
+//! * [`codec`] — the checked byte reader, shared catalog-entry layout
+//!   and atomic file write under every binary format in the workspace;
 //! * [`coadd`] — inverse-variance stacking of repeat exposures (the
 //!   Stripe 82 ground-truth protocol, paper §VIII);
 //! * [`priors`] — the model prior parameters (paper's Φ, Υ, Ξ), both
@@ -31,6 +33,7 @@
 pub mod bands;
 pub mod catalog;
 pub mod coadd;
+pub mod codec;
 pub mod galaxy;
 pub mod gmm;
 pub mod image;
