@@ -8,17 +8,31 @@
 //! 1. **Fault-in** — the cells the query can reach (via
 //!    [`CatalogStore::covering_cells`], which shares the cone's
 //!    bounding-rect math with the search itself) are intersected with
-//!    the spilled set and loaded back from the snapshot file with
-//!    [`Snapshot::load_cells`]; entries re-enter through
-//!    [`CatalogStore::insert_if_absent`] so a fresher fit ingested
-//!    since the spill is never clobbered.
+//!    the spilled set and read back from the open, cell-indexed
+//!    snapshot file with [`SnapshotFile::read_cells`] — one positioned
+//!    read per cell, never the whole file; entries re-enter
+//!    through [`CatalogStore::insert_if_absent`] so a fresher fit
+//!    ingested since the spill is never clobbered.
 //! 2. **Query** — the store answers exactly as it would in-process;
 //!    the query's touch stamp marks its cells hottest.
 //! 3. **Evict** — if residency exceeds capacity, the coldest cells
 //!    (oldest last-touch first) are removed with
-//!    [`CatalogStore::take_cell`] and the snapshot is rewritten to
-//!    cover resident ∪ taken ∪ previously-spilled before anything is
-//!    forgotten, so an entry is never only in memory *or* lost.
+//!    [`CatalogStore::take_cell`]. When the file already holds every
+//!    taken entry bit for bit in the cell it was taken from
+//!    ([`SnapshotFile::holds`]) — a cell faulted in and not refitted
+//!    since — nothing is written: a later fault-in reads back exactly
+//!    what was taken. Otherwise (a refit ingested since the file was
+//!    written, or a file grouped at another level) the snapshot is
+//!    rewritten to cover resident ∪ taken ∪ previously-spilled before
+//!    anything is forgotten. If that write fails, the taken entries go
+//!    back into the store. Either way an entry is never only in memory
+//!    *or* lost.
+//!
+//! The skip rests on comparing what was taken with the bytes a later
+//! fault-in will read, not on version counters: an ingest racing
+//! [`CatalogStore::take_cell`] lands either before the take (its entry
+//! is taken and compared) or after it (the entry stays resident and
+//! wins over the file's copy).
 //!
 //! Serializing capacity-bounded queries through one mutex is a
 //! deliberate trade-off: it makes the fault-in/evict/query
@@ -27,7 +41,7 @@
 //! configuration — the common case while a catalog fits in memory —
 //! keeps the store's full lock-striped concurrency.
 
-use crate::snapshot::Snapshot;
+use crate::snapshot::{Snapshot, SnapshotError, SnapshotFile};
 use crate::ServeError;
 use celeste_store::{CatalogQuery, CatalogStore, CatalogStoreStats, StoreConfig};
 use celeste_survey::catalog::{Catalog, CatalogEntry};
@@ -41,10 +55,37 @@ use std::path::PathBuf;
 struct PolicyState {
     /// Cells whose entries live (only) in the snapshot file.
     spilled: BTreeSet<CellId>,
-    /// The store version the snapshot file is known to cover, if any.
-    /// `None` means dirty: the file must be rewritten before it can
-    /// back an eviction.
-    snapshot_version: Option<u64>,
+    /// The snapshot file, open and indexed by cell; `None` until one
+    /// with one copy per id exists, and always for an unbounded store,
+    /// which never reads the file after `open`. Every spilled cell's
+    /// entries are in it.
+    file: Option<SnapshotFile>,
+}
+
+impl PolicyState {
+    /// The file's entries in `cells`.
+    fn read<'c>(
+        &self,
+        cells: impl IntoIterator<Item = &'c CellId>,
+    ) -> Result<Vec<CatalogEntry>, SnapshotError> {
+        self.file
+            .as_ref()
+            .map_or(Ok(Vec::new()), |file| file.read_cells(cells))
+    }
+
+    /// Whether the file holds every victim's taken entries bit for bit
+    /// in the victim's cell.
+    fn holds(&self, victims: &[(CellId, Vec<CatalogEntry>)]) -> Result<bool, SnapshotError> {
+        let Some(file) = &self.file else {
+            return Ok(false);
+        };
+        for (cell, taken) in victims {
+            if !file.holds(*cell, taken)? {
+                return Ok(false);
+            }
+        }
+        Ok(true)
+    }
 }
 
 /// A [`CatalogStore`] plus the daemon's persistence and memory
@@ -77,21 +118,31 @@ impl ServedStore {
             ));
         }
         let store = CatalogStore::new(config);
-        let mut snapshot_version = None;
+        let mut file = None;
         if let Some(path) = &snapshot_path {
             if path.exists() {
-                let snap = Snapshot::load(path)?;
-                let level_matches = snap.level == store.level();
+                // Only a bounded store reads the file again, so only it
+                // keeps the file open and indexed.
+                let snap = if capacity > 0 {
+                    let (snap, opened) = SnapshotFile::load(path)?;
+                    file = Some(opened);
+                    snap
+                } else {
+                    Snapshot::load(path)?
+                };
+                let stored: usize = snap.cells.iter().map(|(_, es)| es.len()).sum();
                 for (_, entries) in snap.cells {
                     for e in entries {
                         store.insert(e);
                     }
                 }
-                // A snapshot grouped at a different level can't back
-                // cell-granular fault-in; leave it dirty so the first
-                // eviction rewrites it at our level.
-                if level_matches {
-                    snapshot_version = Some(store.version());
+                // An id stored twice could fault back in as either
+                // copy, so such a file is not kept: the first eviction
+                // rewrites it, one copy per id. (A file grouped at
+                // another level is kept: it holds none of our cells,
+                // so the first eviction rewrites it at our level.)
+                if store.len() != stored {
+                    file = None;
                 }
             }
         }
@@ -101,7 +152,7 @@ impl ServedStore {
             capacity,
             state: Mutex::new(PolicyState {
                 spilled: BTreeSet::new(),
-                snapshot_version,
+                file,
             }),
         };
         if served.capacity > 0 {
@@ -162,11 +213,8 @@ impl ServedStore {
         // lock-order: serve policy state (outer to store locks)
         let state = self.state.lock();
         let mut by_id: BTreeMap<u64, CatalogEntry> = BTreeMap::new();
-        if !state.spilled.is_empty() {
-            let path = self.snapshot_path.as_ref().expect("capacity>0 has a path");
-            for e in Snapshot::load_cells(path, &state.spilled)? {
-                by_id.insert(e.id, e);
-            }
+        for e in state.read(&state.spilled)? {
+            by_id.insert(e.id, e);
         }
         for e in self.store.to_catalog().entries {
             by_id.insert(e.id, e);
@@ -184,7 +232,7 @@ impl ServedStore {
         }
         // lock-order: serve policy state (outer to store locks)
         let mut state = self.state.lock();
-        self.rewrite_snapshot(&mut state)
+        self.rewrite_with(&mut state, &[])
     }
 
     fn run<T>(
@@ -224,101 +272,95 @@ impl ServedStore {
         state: &mut PolicyState,
         wanted: &BTreeSet<CellId>,
     ) -> Result<(), ServeError> {
-        let path = self.snapshot_path.as_ref().expect("capacity>0 has a path");
-        let v0 = self.store.version();
-        let mut inserted = 0u64;
-        for e in Snapshot::load_cells(path, wanted)? {
-            if self.store.insert_if_absent(e) {
-                inserted += 1;
-            }
+        for e in state.read(wanted)? {
+            self.store.insert_if_absent(e);
         }
         for c in wanted {
             state.spilled.remove(c);
-        }
-        // The faulted entries came *from* the file, so the file still
-        // covers them: advance the covered version by exactly our own
-        // bumps. Any concurrent external insert breaks the equality
-        // and conservatively leaves the snapshot dirty.
-        if state.snapshot_version == Some(v0) && self.store.version() == v0 + inserted {
-            state.snapshot_version = Some(v0 + inserted);
-        } else {
-            state.snapshot_version = None;
         }
         Ok(())
     }
 
     /// Rewrite the snapshot to cover resident ∪ spilled (resident
-    /// wins by id), plus `extra` entries taken out of the store but
-    /// not yet in the file (they win over the old file, lose to
-    /// resident re-inserts).
+    /// wins by id), plus the `taken` entries of evicted cells, which
+    /// are out of the store and maybe not in the file (they win over
+    /// the old file, lose to resident re-inserts, and a later take of
+    /// an id wins over an earlier one).
     fn rewrite_with(
         &self,
         state: &mut PolicyState,
-        extra: &BTreeMap<u64, CatalogEntry>,
+        taken: &[(CellId, Vec<CatalogEntry>)],
     ) -> Result<(), ServeError> {
         let path = self.snapshot_path.as_ref().expect("checked by caller");
-        let v0 = self.store.version();
         let mut by_id: BTreeMap<u64, CatalogEntry> = BTreeMap::new();
-        if !state.spilled.is_empty() && path.exists() {
-            for e in Snapshot::load_cells(path, &state.spilled)? {
-                by_id.insert(e.id, e);
-            }
+        for e in state.read(&state.spilled)? {
+            by_id.insert(e.id, e);
         }
-        for (id, e) in extra {
-            by_id.insert(*id, e.clone());
+        for e in taken.iter().flat_map(|(_, entries)| entries) {
+            by_id.insert(e.id, e.clone());
         }
         for e in self.store.to_catalog().entries {
             by_id.insert(e.id, e);
         }
         let snap = Snapshot::of_entries(by_id.into_values().collect(), self.store.level());
-        snap.save(path)?;
-        // Mutations racing the collection above bump the version past
-        // v0 and the file is (correctly) considered dirty again.
-        state.snapshot_version = Some(v0);
+        if self.capacity > 0 {
+            state.file = Some(SnapshotFile::save(path, &snap)?);
+        } else {
+            snap.save(path)?;
+        }
         Ok(())
     }
 
-    fn rewrite_snapshot(&self, state: &mut PolicyState) -> Result<(), ServeError> {
-        self.rewrite_with(state, &BTreeMap::new())
-    }
-
     /// Evict coldest cells until residency fits the capacity. The
-    /// snapshot is rewritten *with the taken entries in hand*, so a
-    /// concurrent insert into a victim cell (between stats and take)
-    /// can never be lost: whatever `take_cell` returned is written
-    /// out before the policy lock is released.
+    /// taken entries stay in hand until the file holds them — already,
+    /// bit for bit, or after a rewrite — so a concurrent insert into a
+    /// victim cell (between stats and take) can never be lost. If the
+    /// file cannot be made to hold them, they go back into the store.
     fn enforce_capacity(&self, state: &mut PolicyState) -> Result<(), ServeError> {
-        if self.capacity == 0 {
+        if self.capacity == 0 || self.store.len() <= self.capacity {
             return Ok(());
         }
         let stats = self.store.stats();
-        if stats.entries <= self.capacity {
-            return Ok(());
-        }
         let mut order = stats.per_cell;
         // Coldest first: oldest last-touch, then fewest touches, then
         // cell id for determinism.
         order.sort_by_key(|o| (o.last_touch, o.touches, o.cell));
         let mut resident = stats.entries;
-        let mut taken: BTreeMap<u64, CatalogEntry> = BTreeMap::new();
+        let mut victims: Vec<(CellId, Vec<CatalogEntry>)> = Vec::new();
+        let mut newly_spilled = Vec::new();
         for occ in &order {
             if resident <= self.capacity {
                 break;
             }
-            let evicted = self.store.take_cell(occ.cell);
-            if evicted.is_empty() {
+            let taken = self.store.take_cell(occ.cell);
+            if taken.is_empty() {
                 continue;
             }
-            resident -= evicted.len().min(resident);
-            state.spilled.insert(occ.cell);
-            for e in evicted {
-                taken.insert(e.id, e);
+            resident -= taken.len().min(resident);
+            if state.spilled.insert(occ.cell) {
+                newly_spilled.push(occ.cell);
             }
+            victims.push((occ.cell, taken));
         }
-        if taken.is_empty() {
+        if victims.is_empty() {
             return Ok(());
         }
-        self.rewrite_with(state, &taken)
+        let spilled = match state.holds(&victims) {
+            Ok(true) => Ok(()),
+            Ok(false) => self.rewrite_with(state, &victims),
+            Err(e) => Err(e.into()),
+        };
+        if spilled.is_err() {
+            // Latest take first, so an id taken twice keeps its newer
+            // fit; a cell spilled before this eviction stays spilled.
+            for e in victims.into_iter().rev().flat_map(|(_, entries)| entries) {
+                self.store.insert_if_absent(e);
+            }
+            for cell in newly_spilled {
+                state.spilled.remove(&cell);
+            }
+        }
+        spilled
     }
 }
 
@@ -326,7 +368,9 @@ impl ServedStore {
 mod tests {
     use super::*;
     use celeste_survey::catalog::{GalaxyShape, SourceType};
+    use celeste_survey::codec::put_entry;
     use celeste_survey::skygeom::SkyRect;
+    use std::os::unix::fs::MetadataExt;
 
     fn entry(id: u64) -> CatalogEntry {
         CatalogEntry {
@@ -350,6 +394,35 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("celeste-evict-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         dir.join("cat.scst")
+    }
+
+    /// Inode, length and modification time: a rewrite by temp file
+    /// and rename changes the inode, one in place the length or mtime.
+    fn stamp(path: &std::path::Path) -> (u64, u64, i64, i64) {
+        let meta = std::fs::metadata(path).unwrap();
+        (meta.ino(), meta.len(), meta.mtime(), meta.mtime_nsec())
+    }
+
+    /// Entries as their on-disk bytes, so equality is bit for bit.
+    fn bits(entries: &[CatalogEntry]) -> Vec<u8> {
+        let mut b = Vec::new();
+        for e in entries {
+            put_entry(&mut b, e);
+        }
+        b
+    }
+
+    /// A 20°-wide strip of sky, pole to pole, that moves with `probe`.
+    fn strip(probe: u64) -> SkyRect {
+        let ra = (probe as f64 * 23.0) % 340.0;
+        SkyRect::new(ra, ra + 20.0, -80.0, 80.0)
+    }
+
+    fn rect_query(served: &ServedStore, rect: SkyRect) -> Result<Vec<CatalogEntry>, ServeError> {
+        served.query(&CatalogQuery::Rect {
+            rect,
+            filter: Default::default(),
+        })
     }
 
     #[test]
@@ -474,6 +547,180 @@ mod tests {
             .unwrap();
         assert_eq!(all[0].id, 3);
         assert_eq!(all[0].flux_r_nmgy, 999.0);
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn clean_eviction_leaves_the_file_untouched() {
+        let path = tmp("clean");
+        let reference: Vec<CatalogEntry> = (0..64).map(entry).collect();
+        let level = StoreConfig::default().level;
+        Snapshot::of_entries(reference.clone(), level)
+            .save(&path)
+            .unwrap();
+        let written = stamp(&path);
+        // Opening over capacity already evicts, without a write.
+        let served = ServedStore::open(StoreConfig::default(), Some(path.clone()), 8).unwrap();
+        assert!(served.spilled_cells() > 0);
+        assert_eq!(stamp(&path), written, "open must not rewrite");
+        let mut faults = 0;
+        for probe in 0..32u64 {
+            let rect = strip(probe);
+            let want: Vec<CatalogEntry> = reference
+                .iter()
+                .filter(|e| rect.contains(&e.pos))
+                .cloned()
+                .collect();
+            if want.iter().any(|e| served.store().get(e.id).is_none()) {
+                faults += 1;
+            }
+            assert_eq!(rect_query(&served, rect).unwrap(), want, "probe {probe}");
+            assert!(served.store().len() <= 8, "capacity enforced");
+            assert_eq!(stamp(&path), written, "probe {probe} rewrote the file");
+        }
+        // Every fault pushed the store over capacity, so evicted.
+        assert!(faults >= 8, "only {faults} queries faulted");
+        assert_eq!(bits(&served.catalog().unwrap().entries), bits(&reference));
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn a_refit_to_negative_zero_is_dirty() {
+        let path = tmp("signed-zero");
+        let mut init: Vec<CatalogEntry> = (0..64).map(entry).collect();
+        init[3].flux_r_nmgy = 0.0;
+        Snapshot::of_entries(init.clone(), StoreConfig::default().level)
+            .save(&path)
+            .unwrap();
+        let written = stamp(&path);
+        let served = ServedStore::open(StoreConfig::default(), Some(path.clone()), 8).unwrap();
+        let mut refit = init[3].clone();
+        refit.flux_r_nmgy = -0.0;
+        assert_eq!(refit, init[3], "the refit is equal under PartialEq");
+        served.store().insert(refit);
+        // Query elsewhere until source 3's cell goes cold and is
+        // evicted.
+        let home = CellId::of(&init[3].pos, served.store().level());
+        for probe in 0..64u64 {
+            if served.store().get(3).is_none() {
+                break;
+            }
+            let rect = strip(probe);
+            if CellId::covering(&rect, home.level).contains(&home) {
+                continue;
+            }
+            rect_query(&served, rect).unwrap();
+        }
+        assert!(served.store().get(3).is_none(), "3 was never evicted");
+        assert_ne!(stamp(&path), written, "the -0.0 refit was not written");
+        drop(served);
+        let reborn = ServedStore::open(StoreConfig::default(), Some(path.clone()), 0).unwrap();
+        let got = reborn.store().get(3).unwrap();
+        assert_eq!(got.flux_r_nmgy.to_bits(), (-0.0f64).to_bits());
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn a_snapshot_at_another_level_is_rewritten_at_ours() {
+        let path = tmp("relevel");
+        let reference: Vec<CatalogEntry> = (0..64).map(entry).collect();
+        let level = StoreConfig::default().level;
+        Snapshot::of_entries(reference.clone(), level - 3)
+            .save(&path)
+            .unwrap();
+        let served = ServedStore::open(StoreConfig::default(), Some(path.clone()), 8).unwrap();
+        assert!(served.spilled_cells() > 0);
+        assert_eq!(Snapshot::load(&path).unwrap().level, level);
+        assert_eq!(bits(&served.catalog().unwrap().entries), bits(&reference));
+        for probe in 0..8u64 {
+            let rect = strip(probe);
+            let want: Vec<CatalogEntry> = reference
+                .iter()
+                .filter(|e| rect.contains(&e.pos))
+                .cloned()
+                .collect();
+            assert_eq!(rect_query(&served, rect).unwrap(), want, "probe {probe}");
+        }
+        assert_eq!(bits(&served.catalog().unwrap().entries), bits(&reference));
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn a_snapshot_storing_an_id_twice_is_rewritten_once_per_id() {
+        let path = tmp("duplicate");
+        let reference: Vec<CatalogEntry> = (0..64).map(entry).collect();
+        let level = StoreConfig::default().level;
+        let mut snap = Snapshot::of_entries(reference.clone(), level);
+        // A stale copy of source 5 in an earlier cell than its own. The
+        // fingerprint still holds: decoding keeps the last copy.
+        let home = CellId::of(&reference[5].pos, level);
+        let (earlier, _) = snap.cells[0].clone();
+        assert!(earlier < home, "fixture needs a cell before 5's");
+        let mut stale = reference[5].clone();
+        stale.flux_r_nmgy = -7.0;
+        snap.cells[0].1.push(stale);
+        snap.save(&path).unwrap();
+        assert_eq!(
+            bits(&Snapshot::load(&path).unwrap().entries()),
+            bits(&reference)
+        );
+        let served = ServedStore::open(StoreConfig::default(), Some(path.clone()), 8).unwrap();
+        assert!(served.spilled_cells() > 0);
+        assert_eq!(
+            Snapshot::load(&path)
+                .unwrap()
+                .cells
+                .iter()
+                .map(|(_, es)| es.len())
+                .sum::<usize>(),
+            64,
+            "the first eviction rewrites one copy per id"
+        );
+        // Fault every cell back in, in ascending cell order.
+        let all = served
+            .query(&CatalogQuery::BrightestN {
+                n: 64,
+                within: None,
+            })
+            .unwrap();
+        assert_eq!(all.len(), 64);
+        assert_eq!(bits(&served.catalog().unwrap().entries), bits(&reference));
+        std::fs::remove_dir_all(path.parent().unwrap()).ok();
+    }
+
+    #[test]
+    fn a_failed_spill_keeps_every_entry() {
+        let path = tmp("unwritable");
+        let mut want: Vec<CatalogEntry> = (0..64).map(entry).collect();
+        Snapshot::of_entries(want.clone(), StoreConfig::default().level)
+            .save(&path)
+            .unwrap();
+        let served = ServedStore::open(StoreConfig::default(), Some(path.clone()), 8).unwrap();
+        assert!(served.spilled_cells() > 0);
+        // Refit everything, so whatever is evicted next must be
+        // written, and make that write fail (a directory in the temp
+        // file's place fails even for root).
+        for e in &mut want {
+            e.flux_r_nmgy += 0.5;
+            served.store().insert(e.clone());
+        }
+        let blocker = path.with_file_name("cat.scst.tmp");
+        std::fs::create_dir(&blocker).unwrap();
+        let err = rect_query(&served, strip(0)).unwrap_err();
+        assert!(
+            matches!(err, ServeError::Snapshot(SnapshotError::Io(_))),
+            "{err}"
+        );
+        assert_eq!(served.store().len(), 64, "taken entries are back");
+        assert_eq!(bits(&served.catalog().unwrap().entries), bits(&want));
+        // Once the file can be written, eviction goes ahead.
+        std::fs::remove_dir(&blocker).unwrap();
+        rect_query(&served, strip(0)).unwrap();
+        assert!(served.store().len() <= 8);
+        assert_eq!(bits(&served.catalog().unwrap().entries), bits(&want));
+        drop(served);
+        let reborn = ServedStore::open(StoreConfig::default(), Some(path.clone()), 0).unwrap();
+        assert_eq!(bits(&reborn.catalog().unwrap().entries), bits(&want));
         std::fs::remove_dir_all(path.parent().unwrap()).ok();
     }
 }

@@ -35,7 +35,7 @@ pub mod wire;
 pub use client::CatalogClient;
 pub use evict::ServedStore;
 pub use server::{CatalogServer, ServerHandle};
-pub use snapshot::{Snapshot, SnapshotError};
+pub use snapshot::{Snapshot, SnapshotError, SnapshotFile};
 pub use wire::{ErrorFrame, ErrorKind, WireError};
 
 use celeste_store::{StoreConfig, StoreError};
@@ -60,8 +60,8 @@ pub struct ServeConfig {
     /// with a typed error frame before any allocation.
     pub max_frame_bytes: usize,
     /// Snapshot file: loaded at startup if present (instant restart,
-    /// zero refits), rewritten by eviction and
-    /// [`CatalogDaemon::snapshot`].
+    /// zero refits), rewritten by [`CatalogDaemon::snapshot`] and by an
+    /// eviction whose entries it does not already hold bit for bit.
     pub snapshot: Option<PathBuf>,
     /// Max entries kept in memory; 0 = unbounded. Nonzero requires
     /// `snapshot` (evicted cells spill there).

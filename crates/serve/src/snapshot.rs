@@ -12,20 +12,27 @@
 //! ```
 //!
 //! Entries use the fixed-width 97-byte layout of
-//! `celeste_survey::codec` ([`ENTRY_BYTES`]) that SCQP and SCAT share,
-//! which is what makes partial loads cheap: [`Snapshot::decode`] and
-//! [`Snapshot::load_cells`] walk the cells the same way, and the
-//! partial load skips an unwanted cell in O(1) by advancing
-//! `n_entries × 97` bytes instead of decoding it. The
+//! `celeste_survey::codec` ([`ENTRY_BYTES`]) that SCAT and SCQP
+//! share, so a cell's place in the file follows from the counts before
+//! it. [`SnapshotFile`] keeps a snapshot open with an index of every
+//! cell's byte offset and entry count, built by the same cell walk as
+//! [`Snapshot::decode`] over bytes already in memory (the bytes just
+//! loaded, or just encoded). A partial read — the eviction fault-in —
+//! then costs one positioned read (`pread`) per wanted cell,
+//! `13 + n × 97` bytes, never a read of the whole file; the cell's 13-byte header is
+//! checked against the index, so a file changed under the index is a
+//! typed [`SnapshotError::Malformed`], not a wrong cell. The
 //! fingerprint is [`catalog_content_hash`] over all entries in
 //! ascending-id order — a full [`Snapshot::load`] recomputes and
 //! verifies it, so bit rot surfaces as a typed
 //! [`SnapshotError::FingerprintMismatch`], never a silently wrong
-//! catalog. Writes go through `codec::write_atomic` (`path` + `.tmp`,
-//! then rename), so a crash mid-write leaves the previous snapshot
-//! intact. Parameters are stored bit-exactly (`f64` bits pass through
-//! unchanged), so a restarted daemon answers queries bit-identically
-//! to the one that wrote the file.
+//! catalog; a partial read cannot verify it (that would read the whole
+//! file) and returns the cells' entries as they are on disk. Writes
+//! go through `codec::write_atomic` (`path` + `.tmp`, then rename), so
+//! a crash mid-write leaves the previous snapshot intact. Parameters
+//! are stored bit-exactly (`f64` bits pass through unchanged), so a
+//! restarted daemon answers queries bit-identically to the one that
+//! wrote the file.
 
 use bytes::BufMut;
 use celeste_store::{catalog_content_hash, CatalogStore};
@@ -34,13 +41,21 @@ use celeste_survey::codec::{
     put_entry, put_header, write_atomic, CodecError, Reader, Version, ENTRY_BYTES,
 };
 use celeste_survey::skygeom::CellId;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, HashMap};
+use std::fs::File;
+use std::io::Read;
+use std::os::unix::fs::FileExt;
 use std::path::Path;
 
 /// Snapshot file magic.
 pub const MAGIC: &[u8; 4] = b"SCST";
 /// Snapshot format version.
 pub const VERSION: u16 = 1;
+/// Bytes before the first cell: magic, version, fingerprint, level and
+/// cell count.
+const HEADER_BYTES: usize = 4 + 2 + 8 + 1 + 4;
+/// A cell's header: level, ix, iy and entry count.
+const CELL_HEADER_BYTES: usize = 1 + 4 + 4 + 4;
 
 /// Errors reading or writing a snapshot file.
 #[derive(Debug)]
@@ -144,7 +159,9 @@ impl Snapshot {
     /// Serialize to the `SCST` byte format.
     pub fn encode(&self) -> Vec<u8> {
         let n_entries: usize = self.cells.iter().map(|(_, c)| c.len()).sum();
-        let mut b = Vec::with_capacity(19 + self.cells.len() * 13 + n_entries * ENTRY_BYTES);
+        let mut b = Vec::with_capacity(
+            HEADER_BYTES + self.cells.len() * CELL_HEADER_BYTES + n_entries * ENTRY_BYTES,
+        );
         put_header(&mut b, MAGIC, Version::U16(VERSION));
         b.put_u64_le(self.fingerprint);
         b.put_u8(self.level);
@@ -164,7 +181,7 @@ impl Snapshot {
     /// Decode an `SCST` buffer and verify its fingerprint.
     pub fn decode(buf: &[u8]) -> Result<Snapshot, SnapshotError> {
         let mut cells = Vec::new();
-        let (fingerprint, level) = Snapshot::walk(buf, |cell, n, mut body| {
+        let (fingerprint, level) = Snapshot::walk(buf, |cell, _, n, mut body| {
             cells.push((cell, body.entries(n)?));
             Ok(())
         })?;
@@ -183,20 +200,22 @@ impl Snapshot {
         Ok(snap)
     }
 
-    /// The one cell walk behind [`Snapshot::decode`] and
-    /// [`Snapshot::load_cells`]: check the header and every cell's
-    /// structure, and hand `visit` each cell's id, entry count and a
-    /// reader over exactly its entries (one length check per cell); a
-    /// body `visit` does not read is skipped in O(1). Returns the
-    /// stored fingerprint (not verified here) and level.
+    /// The one cell walk behind [`Snapshot::decode`] and the
+    /// [`SnapshotFile`] index: check the header and every cell's
+    /// structure, and hand `visit` each cell's id, the byte offset of
+    /// its header, its entry count and a reader over exactly its
+    /// entries (one length check per cell); a body `visit` does not
+    /// read is skipped in O(1). Returns the stored fingerprint (not
+    /// verified here) and level.
     fn walk<'a>(
         buf: &'a [u8],
-        mut visit: impl FnMut(CellId, usize, Reader<'a>) -> Result<(), CodecError>,
+        mut visit: impl FnMut(CellId, u64, usize, Reader<'a>) -> Result<(), CodecError>,
     ) -> Result<(u64, u8), CodecError> {
         let mut r = Reader::open(buf, MAGIC, Version::U16(VERSION))?;
         let fingerprint = r.u64()?;
         let level = r.u8()?;
         let n_cells = r.u32()? as usize;
+        let mut offset = HEADER_BYTES;
         for _ in 0..n_cells {
             let cell = CellId {
                 level: r.u8()?,
@@ -204,11 +223,10 @@ impl Snapshot {
                 iy: r.u32()?,
             };
             let n_entries = r.u32()? as usize;
-            visit(
-                cell,
-                n_entries,
-                r.array(n_entries, ENTRY_BYTES, "cell entries")?,
-            )?;
+            let body = r.array(n_entries, ENTRY_BYTES, "cell entries")?;
+            visit(cell, offset as u64, n_entries, body)?;
+            // Cannot overflow: the body just fit in `buf`.
+            offset += CELL_HEADER_BYTES + n_entries * ENTRY_BYTES;
         }
         r.finish()?;
         Ok((fingerprint, level))
@@ -224,26 +242,125 @@ impl Snapshot {
         let bytes = std::fs::read(path).map_err(SnapshotError::Io)?;
         Snapshot::decode(&bytes)
     }
+}
 
-    /// Load only the entries of `wanted` cells from `path`, skipping
-    /// every other cell without decoding it (`n_entries × 97`-byte
-    /// strides). This is the eviction fault-in path: cheap even when
-    /// the snapshot is much larger than memory. Structural errors are
-    /// typed; the whole-file fingerprint is *not* recomputed here
-    /// (that would defeat the point of a partial read).
-    pub fn load_cells(
-        path: &Path,
-        wanted: &BTreeSet<CellId>,
-    ) -> Result<Vec<CatalogEntry>, SnapshotError> {
-        let bytes = std::fs::read(path).map_err(SnapshotError::Io)?;
-        let mut out = Vec::new();
-        Snapshot::walk(&bytes, |cell, n, mut body| {
-            if wanted.contains(&cell) {
-                body.items_into(&mut out, n, ENTRY_BYTES, "cell entries", Reader::entry)?;
-            }
+/// Where one cell sits in a snapshot file: the byte offset of its
+/// header and how many entries follow it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct CellSpan {
+    offset: u64,
+    n: usize,
+}
+
+/// An open snapshot file and an index of where each of its cells sits,
+/// so single cells are read by one positioned read each, never by
+/// reading the whole file. Positioned reads share no file cursor, so
+/// concurrent readers cannot disturb each other. The index is built
+/// from the bytes the file was loaded from or written with, so
+/// building it costs no read.
+#[derive(Debug)]
+pub struct SnapshotFile {
+    file: File,
+    cells: BTreeMap<CellId, CellSpan>,
+}
+
+impl SnapshotFile {
+    /// Load and fingerprint-verify the snapshot at `path` with one read
+    /// of the file, index those bytes and keep the file open.
+    pub fn load(path: &Path) -> Result<(Snapshot, SnapshotFile), SnapshotError> {
+        let mut file = File::open(path).map_err(SnapshotError::Io)?;
+        let mut bytes = Vec::new();
+        file.read_to_end(&mut bytes).map_err(SnapshotError::Io)?;
+        let snap = Snapshot::decode(&bytes)?;
+        Ok((snap, SnapshotFile::index(file, &bytes)?))
+    }
+
+    /// Atomically write `snap` to `path` (see [`write_atomic`]), index
+    /// the bytes just encoded and open the file they were written to.
+    pub fn save(path: &Path, snap: &Snapshot) -> Result<SnapshotFile, SnapshotError> {
+        let bytes = snap.encode();
+        write_atomic(path, &bytes).map_err(SnapshotError::Io)?;
+        let file = File::open(path).map_err(SnapshotError::Io)?;
+        SnapshotFile::index(file, &bytes)
+    }
+
+    /// `file`, whose content is `bytes`, with its cell index.
+    fn index(file: File, bytes: &[u8]) -> Result<SnapshotFile, SnapshotError> {
+        let mut cells = BTreeMap::new();
+        Snapshot::walk(bytes, |cell, offset, n, _| {
+            cells.insert(cell, CellSpan { offset, n });
             Ok(())
         })?;
+        Ok(SnapshotFile { file, cells })
+    }
+
+    /// Read `cell` (one `read_exact_at` of its header and entries) into
+    /// `buf`, check its header against the index and return its
+    /// `n × ENTRY_BYTES` entry bytes; a cell the file does not hold has
+    /// none.
+    fn read_cell<'b>(&self, cell: CellId, buf: &'b mut Vec<u8>) -> Result<&'b [u8], SnapshotError> {
+        let Some(&CellSpan { offset, n }) = self.cells.get(&cell) else {
+            return Ok(&[]);
+        };
+        buf.resize(CELL_HEADER_BYTES + n * ENTRY_BYTES, 0);
+        self.file
+            .read_exact_at(buf, offset)
+            .map_err(SnapshotError::Io)?;
+        let mut r = Reader::new(buf);
+        let found = CellId {
+            level: r.u8()?,
+            ix: r.u32()?,
+            iy: r.u32()?,
+        };
+        if found != cell || r.u32()? as usize != n {
+            return Err(SnapshotError::Malformed(format!(
+                "cell header at byte {offset} disagrees with the index"
+            )));
+        }
+        Ok(&buf[CELL_HEADER_BYTES..])
+    }
+
+    /// The entries of `cells`, cell by cell in file order within each
+    /// cell; cells the file does not hold contribute none. Structural
+    /// errors are typed; the whole-file fingerprint is not checked.
+    pub fn read_cells<'c>(
+        &self,
+        cells: impl IntoIterator<Item = &'c CellId>,
+    ) -> Result<Vec<CatalogEntry>, SnapshotError> {
+        let (mut buf, mut out) = (Vec::new(), Vec::new());
+        for &cell in cells {
+            let body = self.read_cell(cell, &mut buf)?;
+            let n = body.len() / ENTRY_BYTES;
+            Reader::new(body).items_into(
+                &mut out,
+                n,
+                ENTRY_BYTES,
+                "cell entries",
+                Reader::entry,
+            )?;
+        }
         Ok(out)
+    }
+
+    /// Whether `cell` holds every one of `entries` bit for bit: the
+    /// file's first entry with each one's id in that cell — the one a
+    /// fault-in of the cell restores — is exactly the 97 bytes
+    /// [`put_entry`] writes for it.
+    pub fn holds(&self, cell: CellId, entries: &[CatalogEntry]) -> Result<bool, SnapshotError> {
+        let mut buf = Vec::new();
+        let (records, _) = self.read_cell(cell, &mut buf)?.as_chunks::<ENTRY_BYTES>();
+        let mut on_file = HashMap::with_capacity(records.len());
+        for record in records {
+            on_file.entry(Reader::new(record).u64()?).or_insert(record);
+        }
+        let mut mine = Vec::with_capacity(ENTRY_BYTES);
+        Ok(entries.iter().all(|e| {
+            mine.clear();
+            put_entry(&mut mine, e);
+            on_file
+                .get(&e.id)
+                .is_some_and(|record| record[..] == mine[..])
+        }))
     }
 }
 
@@ -299,20 +416,53 @@ mod tests {
         let path = dir.join("cat.scst");
         let snap = Snapshot::of_entries((0..80).map(entry).collect(), 10);
         assert!(snap.cells.len() > 2, "fixture must span several cells");
-        snap.save(&path).unwrap();
+        let saved = SnapshotFile::save(&path, &snap).unwrap();
+        let (loaded, reopened) = SnapshotFile::load(&path).unwrap();
+        assert_eq!(loaded, snap);
+        assert_eq!(Snapshot::load(&path).unwrap(), snap);
 
-        let wanted: BTreeSet<CellId> = snap.cells.iter().take(2).map(|(c, _)| *c).collect();
-        let got = Snapshot::load_cells(&path, &wanted).unwrap();
+        // Both indexes (of the bytes written, of the bytes read) find
+        // the same cells; a cell the file lacks reads as empty.
+        let absent = CellId {
+            level: 10,
+            ix: u32::MAX,
+            iy: 0,
+        };
+        let wanted: Vec<CellId> = snap
+            .cells
+            .iter()
+            .skip(1)
+            .step_by(2)
+            .map(|(c, _)| *c)
+            .collect();
         let want: Vec<CatalogEntry> = snap
             .cells
             .iter()
-            .take(2)
+            .skip(1)
+            .step_by(2)
             .flat_map(|(_, es)| es.clone())
             .collect();
-        assert_eq!(got, want);
-
-        let all = Snapshot::load(&path).unwrap();
-        assert_eq!(all, snap);
+        for file in [&saved, &reopened] {
+            assert_eq!(file.read_cells(&wanted).unwrap(), want);
+            assert!(file.read_cells(&[absent]).unwrap().is_empty());
+            let (cell, entries) = &snap.cells[1];
+            assert!(file.holds(*cell, entries).unwrap());
+            assert!(file.holds(*cell, &entries[1..]).unwrap());
+            assert!(!file.holds(absent, entries).unwrap());
+            // One changed bit is not held; nor is a zero flux of the
+            // other sign, though it compares equal.
+            let mut moved = entries[0].clone();
+            moved.flux_r_nmgy = f64::from_bits(moved.flux_r_nmgy.to_bits() ^ 1);
+            assert!(!file.holds(*cell, &[moved]).unwrap());
+            let zero = entry(0);
+            assert_eq!(zero.flux_r_nmgy.to_bits(), 0);
+            let mut negative = zero.clone();
+            negative.flux_r_nmgy = -0.0;
+            assert_eq!(negative, zero);
+            let home = CellId::of(&zero.pos, 10);
+            assert!(file.holds(home, &[zero]).unwrap());
+            assert!(!file.holds(home, &[negative]).unwrap());
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -324,8 +324,8 @@ pub struct CatalogStore {
     /// last-touch stamp (LRU by query touch for eviction policy).
     query_clock: AtomicU64,
     /// Bumped on every content mutation (insert / take). Lets a
-    /// serving layer detect whether a persisted snapshot still
-    /// reflects the store without hashing it.
+    /// reader tell whether the content changed between two readings
+    /// without hashing it.
     version: AtomicU64,
 }
 
@@ -444,8 +444,7 @@ impl CatalogStore {
         });
         // Bumped strictly *after* the mutation is visible (all locks
         // released), so a reader that observes version v also sees
-        // every mutation counted in v — the serving layer's snapshot
-        // freshness check depends on this ordering.
+        // every mutation counted in v.
         self.version.fetch_add(1, Ordering::AcqRel);
     }
 

@@ -83,6 +83,13 @@ pub struct Reader<'a> {
 }
 
 impl<'a> Reader<'a> {
+    /// A reader over `buf` with no header: a record read out of a
+    /// file on its own, whose header was checked when the file was
+    /// indexed.
+    pub fn new(buf: &'a [u8]) -> Reader<'a> {
+        Reader { buf }
+    }
+
     /// A reader positioned after `buf`'s header, which must be
     /// `magic` followed by exactly `version`.
     pub fn open(

@@ -6,7 +6,11 @@
 //! that land in a payload, a structurally bounded `Ok`): never a
 //! panic, never a read past the buffer, never an attacker-sized
 //! preallocation. Each format gets the same properties, in a module
-//! named after it.
+//! named after it. The indexed partial SCST read (the eviction
+//! fault-in, `SnapshotFile`) gets its own module: a file truncated,
+//! bit-flipped or given a cell header that disagrees with its index
+//! after indexing reads back as a typed error or the cell's entries as
+//! they are on disk.
 
 use std::sync::Arc;
 
@@ -23,6 +27,7 @@ use celeste_sched::runtime::RegionStats;
 use celeste_sched::{RegionProvenance, RegionResult};
 use celeste_survey::bands::Band;
 use celeste_survey::catalog::{Catalog, CatalogEntry, GalaxyShape, SourceType};
+use celeste_survey::codec::ENTRY_BYTES;
 use celeste_survey::image::Image;
 use celeste_survey::io::{decode_catalog, decode_image, encode_catalog, encode_image, IoError};
 use celeste_survey::psf::{Psf, PsfComponent};
@@ -591,6 +596,210 @@ codec_properties! {
     sckp: Fmt::Sckp;
     scqp: Fmt::Scqp;
     scst: Fmt::Scst;
+}
+
+/// The indexed partial read of an SCST file changed on disk after it
+/// was indexed.
+mod scst_indexed {
+    use super::*;
+    use celeste::serve::SnapshotFile;
+    use celeste_survey::codec::put_entry;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    /// Bytes before the first cell, and in each cell's header.
+    const HEADER: usize = 19;
+    const CELL_HEADER: usize = 13;
+
+    /// A sample snapshot written to its own file and indexed, the
+    /// file's bytes, and each cell's header offset.
+    struct Indexed {
+        dir: PathBuf,
+        path: PathBuf,
+        snap: Snapshot,
+        file: SnapshotFile,
+        bytes: Vec<u8>,
+        offsets: Vec<usize>,
+    }
+
+    impl Indexed {
+        fn new(seed: u64) -> Indexed {
+            static CASE: AtomicU64 = AtomicU64::new(0);
+            let dir = std::env::temp_dir().join(format!(
+                "celeste-scst-indexed-{}-{}",
+                std::process::id(),
+                CASE.fetch_add(1, Ordering::Relaxed)
+            ));
+            std::fs::create_dir_all(&dir).unwrap();
+            let path = dir.join("cat.scst");
+            let snap = sample_snapshot(seed);
+            let file = SnapshotFile::save(&path, &snap).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            let mut offsets = Vec::new();
+            let mut at = HEADER;
+            for (_, entries) in &snap.cells {
+                offsets.push(at);
+                at += CELL_HEADER + entries.len() * ENTRY_BYTES;
+            }
+            assert_eq!(at, bytes.len(), "offsets must tile the file");
+            Indexed {
+                dir,
+                path,
+                snap,
+                file,
+                bytes,
+                offsets,
+            }
+        }
+
+        /// Replace the file's content in place (same inode, so the
+        /// open handle sees it).
+        fn overwrite(&self, bytes: &[u8]) {
+            use std::io::Write;
+            let mut f = std::fs::OpenOptions::new()
+                .write(true)
+                .truncate(true)
+                .open(&self.path)
+                .unwrap();
+            f.write_all(bytes).unwrap();
+        }
+
+        /// Read every cell alone. Each read is a typed error or the
+        /// cell's entries, which then encode to the original cell's
+        /// bytes but for the returned count of flipped bits. Returns
+        /// (cells that errored, bits differing in total).
+        fn read_each(&self) -> (usize, u32) {
+            let (mut errors, mut flipped) = (0, 0);
+            for (cell, entries) in &self.snap.cells {
+                match self.file.read_cells([cell]) {
+                    Ok(got) => {
+                        assert_eq!(got.len(), entries.len(), "cell {cell:?} changed size");
+                        flipped += bits(&got)
+                            .iter()
+                            .zip(bits(entries))
+                            .map(|(a, b)| (a ^ b).count_ones())
+                            .sum::<u32>();
+                    }
+                    Err(SnapshotError::Malformed(_) | SnapshotError::Io(_)) => errors += 1,
+                    Err(e) => panic!("unexpected error variant: {e}"),
+                }
+            }
+            (errors, flipped)
+        }
+    }
+
+    impl Drop for Indexed {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.dir).ok();
+        }
+    }
+
+    fn bits(entries: &[CatalogEntry]) -> Vec<u8> {
+        let mut b = Vec::new();
+        for e in entries {
+            put_entry(&mut b, e);
+        }
+        b
+    }
+
+    /// A file cut short after indexing: every cell wholly before the
+    /// cut reads back exactly, the cells past it are typed errors.
+    fn truncation(seed: u64, frac: f64) {
+        let ix = Indexed::new(seed);
+        let cut = ((ix.bytes.len() - 1) as f64 * frac) as usize;
+        ix.overwrite(&ix.bytes[..cut]);
+        let (errors, flipped) = ix.read_each();
+        let past = ix
+            .offsets
+            .iter()
+            .zip(&ix.snap.cells)
+            .filter(|(&at, (_, es))| at + CELL_HEADER + es.len() * ENTRY_BYTES > cut)
+            .count();
+        assert_eq!(
+            (errors, flipped),
+            (past, 0),
+            "cut at {cut}/{}",
+            ix.bytes.len()
+        );
+        assert!(ix
+            .file
+            .read_cells(ix.snap.cells.iter().map(|(c, _)| c))
+            .is_err());
+    }
+
+    /// One bit flipped after indexing: a flip in the file header is
+    /// never read; one in a cell header makes that cell a typed error;
+    /// one in an entry gives that entry with the flipped bit, or a
+    /// typed error if it made the source type unknown. Nothing else
+    /// changes.
+    fn single_bit_flip(seed: u64, pos: f64, bit: u32) {
+        let ix = Indexed::new(seed);
+        let at = ((ix.bytes.len() - 1) as f64 * pos) as usize;
+        let mut bytes = ix.bytes.clone();
+        bytes[at] ^= 1 << bit;
+        ix.overwrite(&bytes);
+        // The cell holding byte `at`, if any, and where in it `at` is.
+        let within = ix.offsets.iter().rev().find(|&&o| o <= at).map(|&o| at - o);
+        let want = match within {
+            None => (0, 0),
+            Some(i) if i < CELL_HEADER => (1, 0),
+            // The type byte follows id, ra and dec; only its low bit
+            // keeps it a known type.
+            Some(i) if (i - CELL_HEADER) % ENTRY_BYTES == 24 && bit > 0 => (1, 0),
+            Some(_) => (0, 1),
+        };
+        assert_eq!(ix.read_each(), want, "flip of bit {bit} at {at}");
+    }
+
+    /// A cell header rewritten to disagree with the index (another
+    /// level, position or entry count) is Malformed, whatever entries
+    /// follow it, and no other cell is affected.
+    fn lying_cell_header(seed: u64, pick: u64, field: usize, xor: u32) {
+        let ix = Indexed::new(seed);
+        let victim = (pick % ix.snap.cells.len() as u64) as usize;
+        // level u8 at +0, ix u32 at +1, iy u32 at +5, n_entries u32 at +9.
+        let at = ix.offsets[victim] + [0, 1, 5, 9][field];
+        let mut bytes = ix.bytes.clone();
+        if field == 0 {
+            bytes[at] ^= (xor % 255 + 1) as u8;
+        } else {
+            let v = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) ^ xor;
+            bytes[at..at + 4].copy_from_slice(&v.to_le_bytes());
+        }
+        ix.overwrite(&bytes);
+        for (i, (cell, entries)) in ix.snap.cells.iter().enumerate() {
+            match ix.file.read_cells([cell]) {
+                Err(SnapshotError::Malformed(m)) if i == victim => {
+                    assert!(m.contains("disagrees with the index"), "{m}")
+                }
+                Ok(got) if i != victim => assert_eq!(bits(&got), bits(entries)),
+                other => panic!("cell {i} (victim {victim}): {other:?}"),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn truncation_after_indexing_is_typed(seed in 0u64..1_000_000, frac in 0.0..1.0f64) {
+            truncation(seed, frac);
+        }
+
+        #[test]
+        fn single_bit_flip_after_indexing_is_typed_or_exact(
+            seed in 0u64..1_000_000, pos in 0.0..1.0f64, bit in 0u32..8
+        ) {
+            single_bit_flip(seed, pos, bit);
+        }
+
+        #[test]
+        fn cell_header_disagreeing_with_the_index_is_malformed(
+            seed in 0u64..1_000_000, pick in 0u64..1_000, field in 0usize..4, xor in 1u32..u32::MAX
+        ) {
+            lying_cell_header(seed, pick, field, xor);
+        }
+    }
 }
 
 /// Checkpoint and snapshot files that share a stem do not share a

@@ -10,19 +10,25 @@
 //!   daemon serves the identical catalog instantly with zero refits.
 //! * Eviction — a daemon bounded far below the catalog size spills
 //!   cold cells to the snapshot and still answers bit-identically,
-//!   faulting them back in on demand.
+//!   faulting them back in on demand, also while refits are ingested
+//!   into the cells it evicts.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Barrier;
 use std::time::Duration;
 
+use celeste::serve::Snapshot;
 use celeste::{
     CatalogClient, CatalogQuery, Celeste, FitConfig, ServeConfig, ServedStore, Session,
     SourceFilter, SourceType,
 };
+use celeste_sched::fault::mix64;
 use celeste_sched::{partition_sky, stage_survey, PartitionConfig, RegionTask};
+use celeste_store::StoreConfig;
 use celeste_survey::bands::Band;
-use celeste_survey::catalog::CatalogEntry;
-use celeste_survey::io::ImageStore;
+use celeste_survey::catalog::{CatalogEntry, GalaxyShape};
+use celeste_survey::io::{encode_catalog, ImageStore};
 use celeste_survey::skygeom::{GeometryConfig, SkyCoord, SkyRect};
 use celeste_survey::synth::{SurveyConfig, SyntheticSurvey};
 use celeste_survey::Catalog;
@@ -366,5 +372,124 @@ fn capacity_bounded_daemon_spills_and_answers_bit_identically() {
     drop(client);
     daemon.shutdown().unwrap();
     drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A deterministic source in a 2° × 2° patch, which spans a few
+/// hundred store cells.
+fn patch_entry(id: u64) -> CatalogEntry {
+    let h = mix64(id + 1);
+    CatalogEntry {
+        id,
+        pos: SkyCoord::new(
+            40.0 + (h % 20_000) as f64 * 1e-4,
+            -1.0 + ((h >> 20) % 20_000) as f64 * 1e-4,
+        ),
+        source_type: if h.is_multiple_of(3) {
+            SourceType::Galaxy
+        } else {
+            SourceType::Star
+        },
+        flux_r_nmgy: 1.0 + (h % 1000) as f64 * 0.01,
+        colors: [0.1, 0.2, -0.1, 0.3],
+        shape: GalaxyShape::round_disk(1.0),
+    }
+}
+
+#[test]
+fn capacity_bounded_daemon_keeps_refits_ingested_while_it_evicts() {
+    let dir = std::env::temp_dir().join(format!("celeste-serve-refits-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("catalog.scst");
+    let init: Vec<CatalogEntry> = (0..800).map(patch_entry).collect();
+    Snapshot::of_entries(init.clone(), StoreConfig::default().level)
+        .save(&path)
+        .unwrap();
+
+    // Refits of existing sources, applied in this order: new fluxes
+    // (some a zero of either sign, equal under `==` but not in bits),
+    // a fifth of them moved by up to 0.2°, across cells.
+    let mut expected: BTreeMap<u64, CatalogEntry> =
+        init.iter().map(|e| (e.id, e.clone())).collect();
+    let refits: Vec<CatalogEntry> = (0..2000u64)
+        .map(|k| {
+            let h = mix64(k ^ 0x5EF1);
+            let mut e = expected[&(h % 800)].clone();
+            e.flux_r_nmgy = match h % 7 {
+                0 => 0.0,
+                1 => -0.0,
+                _ => e.flux_r_nmgy * 1.01 + 0.01,
+            };
+            if h.is_multiple_of(5) {
+                e.pos = SkyCoord::new(
+                    e.pos.ra + ((h >> 8) % 400) as f64 * 1e-3 - 0.2,
+                    e.pos.dec + ((h >> 24) % 400) as f64 * 1e-3 - 0.2,
+                );
+            }
+            expected.insert(e.id, e.clone());
+            e
+        })
+        .collect();
+    let want = encode_catalog(&Catalog::new(expected.into_values().collect()));
+
+    let session = parity_session();
+    let config = ServeConfig {
+        snapshot: Some(path.clone()),
+        max_resident_entries: init.len() / 4,
+        snapshot_on_shutdown: true,
+        max_connections: 8,
+        ..ServeConfig::default()
+    };
+    let daemon = session.serve("127.0.0.1:0", &config).unwrap();
+    assert!(daemon.store().spilled_cells() > 0, "the bound must spill");
+    let addr = daemon.addr();
+    let done = AtomicBool::new(false);
+    // The ingest starts once every client has answered one query.
+    let ready = Barrier::new(5);
+    std::thread::scope(|s| {
+        for client_no in 0..4u64 {
+            let (done, ready) = (&done, &ready);
+            s.spawn(move || {
+                let mut client = CatalogClient::connect(addr).unwrap();
+                for n in 0u64.. {
+                    if n > 0 && done.load(Ordering::Acquire) {
+                        break;
+                    }
+                    let h = mix64(client_no << 32 | n);
+                    let center = SkyCoord::new(
+                        40.0 + (h % 2000) as f64 * 1e-3,
+                        -1.0 + ((h >> 16) % 2000) as f64 * 1e-3,
+                    );
+                    let hits = client.cone_search(&center, 900.0).unwrap();
+                    assert!(hits.windows(2).all(|w| w[0].1 <= w[1].1));
+                    if n == 0 {
+                        ready.wait();
+                    }
+                }
+            });
+        }
+        ready.wait();
+        // One ingest thread, racing the queries' evictions.
+        let store = daemon.store().store();
+        for (i, e) in refits.iter().enumerate() {
+            store.insert(e.clone());
+            if i % 10 == 0 {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        }
+        done.store(true, Ordering::Release);
+    });
+
+    let got = encode_catalog(&daemon.catalog().unwrap());
+    assert!(
+        got == want,
+        "final catalog differs from the post-ingest one"
+    );
+    daemon.shutdown().unwrap();
+    let reborn = session.serve("127.0.0.1:0", &config).unwrap();
+    let got = encode_catalog(&reborn.catalog().unwrap());
+    assert!(got == want, "restart differs from the post-ingest catalog");
+    reborn.shutdown().unwrap();
     std::fs::remove_dir_all(&dir).ok();
 }
