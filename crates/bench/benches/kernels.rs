@@ -3,8 +3,8 @@
 //! These are the per-kernel counterparts of the paper's §VII-A
 //! profile: ELBO evaluation (value and derivative paths), the Newton
 //! trust-region solve (Jacobi eigendecomposition + secular iteration),
-//! Cyclades partitioning, PGAS access, image rendering and container
-//! codec, and the Photo baseline.
+//! Cyclades partitioning, image rendering and container codec, and
+//! the Photo baseline.
 
 use celeste_core::likelihood::{
     add_likelihood, add_likelihood_dense, add_likelihood_into, likelihood_value,
@@ -13,7 +13,7 @@ use celeste_core::likelihood::{
 use celeste_core::{ModelPriors, SourceParams};
 use celeste_linalg::{solve_tr_subproblem, Cholesky, Mat, SymEigen};
 use celeste_photo::{run_photo, PhotoConfig};
-use celeste_sched::{conflict_graph, sample_batches, ParamStore};
+use celeste_sched::{conflict_graph, sample_batches};
 use celeste_survey::io::{decode_image, encode_image};
 use celeste_survey::render::render_expected;
 use celeste_survey::{Image, Priors};
@@ -141,7 +141,7 @@ fn bench_newton_fit(c: &mut Criterion) {
         b.iter(|| {
             let mut sp = SourceParams::init_from_entry(entry);
             let problem = celeste_core::SourceProblem::build(&sp, &refs, &[], &priors, &cfg);
-            black_box(celeste_core::fit_source(&mut sp, &problem, &cfg))
+            black_box(celeste_core::fit_source(&mut sp, &problem, &cfg).unwrap())
         })
     });
     c.bench_function("fit_single_source_workspace", |b| {
@@ -178,32 +178,6 @@ fn bench_cyclades(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_pgas(c: &mut Criterion) {
-    let (scene, _) = scene();
-    let store = ParamStore::new(8);
-    for e in &scene.truth.entries {
-        store.insert(SourceParams::init_from_entry(e));
-    }
-    let ids: Vec<u64> = scene.truth.entries.iter().map(|e| e.id).collect();
-    let p = [0.5; celeste_core::NUM_PARAMS];
-    let mut g = c.benchmark_group("pgas");
-    g.bench_function("get", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            i = (i + 1) % ids.len();
-            black_box(store.get(0, ids[i]))
-        })
-    });
-    g.bench_function("put", |b| {
-        let mut i = 0;
-        b.iter(|| {
-            i = (i + 1) % ids.len();
-            black_box(store.put(0, ids[i], &p))
-        })
-    });
-    g.finish();
-}
-
 fn bench_survey(c: &mut Criterion) {
     let (scene, _) = scene();
     let img = &scene.single_run[2];
@@ -223,7 +197,7 @@ fn bench_photo(c: &mut Criterion) {
     let (scene, _) = scene();
     let refs: Vec<&Image> = scene.single_run.iter().collect();
     c.bench_function("photo_pipeline_field", |b| {
-        b.iter(|| black_box(run_photo(&refs, &PhotoConfig::default())))
+        b.iter(|| black_box(run_photo(&refs, &PhotoConfig::default()).unwrap()))
     });
 }
 
@@ -244,6 +218,6 @@ criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
     targets = bench_elbo, bench_linalg, bench_newton_fit, bench_cyclades,
-              bench_pgas, bench_survey, bench_photo, bench_cluster_sim
+              bench_survey, bench_photo, bench_cluster_sim
 }
 criterion_main!(benches);

@@ -23,7 +23,7 @@
 //!
 //! The emitted JSON records `kernel_dispatch` (`fma`/`scalar`, from
 //! [`celeste_linalg::fused::kernel_isa`]) so committed numbers from
-//! different machines are comparable; the packed/dense gate is 2.6×
+//! different machines are comparable; the packed/dense gate is 2.8×
 //! under FMA dispatch and 1.8× on the portable instantiation (which
 //! `CELESTE_FORCE_SCALAR=1` selects explicitly).
 //!

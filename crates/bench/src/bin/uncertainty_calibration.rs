@@ -7,14 +7,14 @@
 //! and check empirical coverage of the nominal ±1σ / ±2σ intervals.
 //! Calibrated posteriors give ≈ 68% / 95%.
 
-use celeste_core::{fit_source, FitConfig, ModelPriors, SourceParams, SourceProblem};
+use celeste::{Celeste, SourceParams};
 use celeste_survey::bands::Band;
 use celeste_survey::catalog::{Catalog, CatalogEntry, GalaxyShape, SourceType};
 use celeste_survey::psf::Psf;
 use celeste_survey::render::render_observed;
 use celeste_survey::skygeom::{FieldId, SkyCoord, SkyRect};
 use celeste_survey::wcs::Wcs;
-use celeste_survey::{Image, Priors};
+use celeste_survey::Image;
 
 fn main() {
     let truth = CatalogEntry {
@@ -25,8 +25,8 @@ fn main() {
         colors: [0.5, 0.3, 0.2, 0.1],
         shape: GalaxyShape::round_disk(1.0),
     };
-    let priors = ModelPriors::new(Priors::sdss_default());
-    let cfg = FitConfig::default();
+    // Default fit configuration and SDSS-derived priors.
+    let session = Celeste::session();
     let reps = celeste_bench::scaled(60, 20);
 
     let mut z_flux = Vec::new();
@@ -60,8 +60,7 @@ fn main() {
             .collect();
         let refs: Vec<&Image> = images.iter().collect();
         let mut sp = SourceParams::init_from_entry(&truth);
-        let problem = SourceProblem::build(&sp, &refs, &[], &priors, &cfg);
-        fit_source(&mut sp, &problem, &cfg);
+        session.fit_source(&mut sp, &refs, &[]).unwrap();
         let unc = sp.uncertainty();
         let e = sp.to_entry();
         // Flux z-score in log space (the posterior is log-normal).

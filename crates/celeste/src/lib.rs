@@ -6,9 +6,9 @@
 //! Inference at Petascale* (Regier et al., IPDPS 2018).
 //!
 //! The underlying crates expose the pipeline as free functions
-//! (`run_photo`, `process_region`, `run_campaign`, `fit_source`) with
-//! separate config structs and panicking input checks. This crate
-//! replaces that glue with a builder-configured [`Session`]:
+//! (`run_photo`, `process_region`, `run_campaign_with`, `fit_source`)
+//! with separate config structs. This crate replaces that glue with a
+//! builder-configured [`Session`]:
 //!
 //! ```text
 //!            Celeste::builder() ──► Session (validated CelesteConfig)
@@ -44,10 +44,10 @@
 //! [`RetryPolicy::max_attempts`]. Regions that keep failing are
 //! quarantined into [`CampaignReport::failed_regions`] with their
 //! full per-attempt error chains — the campaign degrades gracefully
-//! instead of aborting. [`Session::run_campaign_checkpointed`]
-//! persists completed regions durably and
-//! [`Session::resume_campaign`] restarts from the file, refitting
-//! only unfinished regions, with a bit-identical final catalog.
+//! instead of aborting. [`Session::resume_campaign`] persists
+//! completed regions durably and restarts from the file (a fresh run
+//! when there is none yet), refitting only unfinished regions, with a
+//! bit-identical final catalog.
 //! Deterministic fault injection ([`FaultPlan`], or the
 //! `CELESTE_FAULTS` environment variable) drives the chaos suite
 //! through these exact production paths.
@@ -109,9 +109,8 @@
 //! # }
 //! ```
 //!
-//! The legacy free functions remain available (and unchanged) through
-//! the re-exported subcrates for existing callers and the parity
-//! suites; new code should go through the session.
+//! The free functions stay reachable through the re-exported
+//! subcrates, all fallible; new code should go through the session.
 
 mod config;
 mod error;

@@ -101,7 +101,7 @@ impl Session {
     /// Run heuristic detection + photometry (the Photo stage) over one
     /// field's images: exactly one image per band, r band required.
     pub fn detect(&self, images: &[&Image]) -> Result<Catalog, CelesteError> {
-        Ok(celeste_photo::try_run_photo(images, &self.cfg.photo)?)
+        Ok(celeste_photo::run_photo(images, &self.cfg.photo)?)
     }
 
     /// Initialize variational source parameters from a catalog (the
@@ -126,7 +126,7 @@ impl Session {
         let problem =
             SourceProblem::build(source, images, neighbors, &self.cfg.priors, &self.cfg.fit);
         let id = source.id;
-        celeste_core::try_fit_source(source, &problem, &self.cfg.fit).map_err(|error| {
+        celeste_core::fit_source(source, &problem, &self.cfg.fit).map_err(|error| {
             CelesteError::Fit {
                 source_id: Some(id),
                 error,
@@ -188,15 +188,16 @@ impl Session {
         survey: &SyntheticSurvey,
         store: &ImageStore,
     ) -> Result<usize, CelesteError> {
-        Ok(celeste_sched::try_stage_survey(survey, store)?)
+        Ok(celeste_sched::stage_survey(survey, store)?)
     }
 
     /// Run a full campaign — both partition stages, Dtree-scheduled
     /// across the session's simulated nodes — collecting every
     /// [`RegionResult`] alongside the final parameters. Equivalent to
     /// draining [`Session::run_campaign_streaming`]; the final
-    /// parameters are bit-identical to the legacy
-    /// [`run_campaign`](celeste_sched::run_campaign) tuple return.
+    /// parameters are bit-identical to what
+    /// [`run_campaign_with`](celeste_sched::run_campaign_with) returns
+    /// for [`CelesteConfig::campaign`](crate::CelesteConfig::campaign).
     pub fn run_campaign(
         &self,
         survey: &SyntheticSurvey,
@@ -235,43 +236,17 @@ impl Session {
         self.campaign_with(survey, store, init_catalog, tasks, None, None, consume)
     }
 
-    /// [`Session::run_campaign`] with durable progress: every
-    /// completed region is recorded to `ckpt` (written atomically
-    /// every [`CheckpointConfig::every`] completions and once at the
-    /// end), so a crashed or cancelled campaign can be picked up by
-    /// [`Session::resume_campaign`] without refitting finished
-    /// regions.
-    pub fn run_campaign_checkpointed(
-        &self,
-        survey: &SyntheticSurvey,
-        store: &ImageStore,
-        init_catalog: &Catalog,
-        tasks: &[RegionTask],
-        ckpt: &CheckpointConfig,
-    ) -> Result<CampaignOutcome, CelesteError> {
-        let (mut outcome, regions) = self.campaign_with(
-            survey,
-            store,
-            init_catalog,
-            tasks,
-            Some(ckpt),
-            None,
-            |stream| stream.collect::<Vec<RegionResult>>(),
-        )?;
-        outcome.regions = regions;
-        Ok(outcome)
-    }
-
-    /// Resume a campaign from the checkpoint at
-    /// [`CheckpointConfig::path`]: regions already completed are
-    /// restored bit-exactly from the file (and appear in
-    /// [`CampaignOutcome::regions`] alongside freshly fitted ones);
-    /// only the rest are scheduled. The checkpoint's plan fingerprint
-    /// must match `tasks` — resuming against a different task plan is
-    /// a typed error, not silent corruption. If the checkpoint file
-    /// does not exist yet, this is simply a fresh
-    /// [`Session::run_campaign_checkpointed`] run, so crash-retry
-    /// loops can call `resume_campaign` unconditionally.
+    /// [`Session::run_campaign`] with durable progress, resumed from
+    /// the checkpoint at [`CheckpointConfig::path`]. Every completed
+    /// region is recorded to `ckpt` (written atomically every
+    /// [`CheckpointConfig::every`] completions and once at the end).
+    /// Regions the file already holds are restored bit-exactly (and
+    /// appear in [`CampaignOutcome::regions`] alongside freshly fitted
+    /// ones); only the rest are scheduled. The checkpoint's plan
+    /// fingerprint must match `tasks` — resuming against a different
+    /// task plan is a typed error, not silent corruption. If the file
+    /// does not exist yet, this is a fresh checkpointed run, so
+    /// crash-retry loops can call `resume_campaign` unconditionally.
     pub fn resume_campaign(
         &self,
         survey: &SyntheticSurvey,

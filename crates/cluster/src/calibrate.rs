@@ -58,7 +58,9 @@ pub struct Calibration {
     pub flops_per_proc: f64,
     /// One Dtree message latency, seconds.
     pub sched_msg_latency: f64,
-    /// PGAS put/get round trip, seconds.
+    /// PGAS put/get round trip, seconds: the paper's one-sided MPI-3
+    /// RMA over the interconnect (§IV-C). Modelled here only; the
+    /// single-machine campaign has no remote parameter store.
     pub pgas_latency: f64,
     /// Per-process output-write time at job end, seconds.
     pub output_write: f64,

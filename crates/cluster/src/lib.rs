@@ -6,7 +6,7 @@
 //! level stays real: per-task compute durations and first-task image
 //! load times are sampled from log-normal models **calibrated against
 //! measured single-machine runs** of the actual optimizer
-//! (`celeste_sched::run_campaign`), and the scheduler policy is the
+//! (`celeste_sched::run_campaign_with`), and the scheduler policy is the
 //! same Dtree batch-refill logic, replayed in virtual time.
 //!
 //! * [`calibrate`] — fit duration models from a real `CampaignReport`

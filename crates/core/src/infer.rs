@@ -271,10 +271,9 @@ pub struct FitStats {
     pub elbo_after: f64,
 }
 
-/// Invalid input to a source fit, reported by [`try_fit_source`] /
-/// [`try_fit_source_with`] instead of corrupting the Newton loop (a
-/// single NaN parameter or pixel poisons every downstream ELBO
-/// evaluation and trust-region step).
+/// Invalid input to a source fit, reported by [`fit_source`] instead
+/// of corrupting the Newton loop (a single NaN parameter or pixel
+/// poisons every downstream ELBO evaluation and trust-region step).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum FitError {
     /// A variational parameter is NaN or infinite.
@@ -379,34 +378,18 @@ pub fn source_workspace() -> SourceWorkspace {
 }
 
 /// Fit one source to convergence (paper §IV-D's inner loop),
-/// allocating a fresh workspace. One-shot callers only; worker loops
-/// use [`fit_source_with`].
-pub fn fit_source(source: &mut SourceParams, problem: &SourceProblem, cfg: &FitConfig) -> FitStats {
-    let mut ws = source_workspace();
-    fit_source_with(source, problem, cfg, &mut ws)
-}
-
-/// [`fit_source`] with invalid input reported as a [`FitError`]: the
-/// form the `celeste` facade calls on user-supplied parameters.
-pub fn try_fit_source(
+/// allocating a fresh workspace. Inputs are validated first
+/// ([`validate_fit_inputs`]): a non-finite parameter or pixel is a
+/// [`FitError`], never a poisoned Newton loop. One-shot callers only;
+/// worker loops use [`fit_source_with`].
+pub fn fit_source(
     source: &mut SourceParams,
     problem: &SourceProblem,
     cfg: &FitConfig,
-) -> Result<FitStats, FitError> {
-    let mut ws = source_workspace();
-    try_fit_source_with(source, problem, cfg, &mut ws)
-}
-
-/// [`fit_source_with`] behind the same input validation as
-/// [`try_fit_source`].
-pub fn try_fit_source_with(
-    source: &mut SourceParams,
-    problem: &SourceProblem,
-    cfg: &FitConfig,
-    ws: &mut SourceWorkspace,
 ) -> Result<FitStats, FitError> {
     validate_fit_inputs(source, problem)?;
-    Ok(fit_source_with(source, problem, cfg, ws))
+    let mut ws = source_workspace();
+    Ok(fit_source_with(source, problem, cfg, &mut ws))
 }
 
 /// Fit one source to convergence reusing the caller's workspace: the
@@ -567,7 +550,7 @@ mod tests {
         let cfg = FitConfig::default();
         let problem = SourceProblem::build(&sp, &refs, &[], &priors(), &cfg);
         assert!(problem.blocks.len() == 5, "expected 5 band blocks");
-        let fs = fit_source(&mut sp, &problem, &cfg);
+        let fs = fit_source(&mut sp, &problem, &cfg).unwrap();
         assert!(fs.elbo_after > fs.elbo_before, "{fs:?}");
         let fitted = sp.to_entry();
         assert_eq!(fitted.source_type, SourceType::Star);
@@ -604,7 +587,7 @@ mod tests {
         let mut sp = SourceParams::init_from_entry(&init);
         let cfg = FitConfig::default();
         let problem = SourceProblem::build(&sp, &refs, &[], &priors(), &cfg);
-        fit_source(&mut sp, &problem, &cfg);
+        fit_source(&mut sp, &problem, &cfg).unwrap();
         assert!(sp.star_prob() < 0.1, "star prob {}", sp.star_prob());
         let s = sp.shape();
         assert!(
@@ -625,7 +608,7 @@ mod tests {
             let refs: Vec<&Image> = imgs.iter().collect();
             let mut sp = SourceParams::init_from_entry(&star(8.0));
             let problem = SourceProblem::build(&sp, &refs, &[], &priors(), &cfg);
-            fit_source(&mut sp, &problem, &cfg);
+            fit_source(&mut sp, &problem, &cfg).unwrap();
             sp.uncertainty()
         };
         let u1 = fit(&one);

@@ -37,9 +37,9 @@ pub mod newton;
 pub mod params;
 
 pub use infer::{
-    fit_source, fit_source_with, optimize_sources, source_workspace, try_fit_source,
-    try_fit_source_with, validate_fit_inputs, validate_images, validate_params, BuildScratch,
-    FitConfig, FitError, FitStats, SourceProblem, SourceScratch, SourceWorkspace,
+    fit_source, fit_source_with, optimize_sources, source_workspace, validate_fit_inputs,
+    validate_images, validate_params, BuildScratch, FitConfig, FitError, FitStats, SourceProblem,
+    SourceScratch, SourceWorkspace,
 };
 pub use kl::ModelPriors;
 pub use newton::{maximize, maximize_with, EvalWorkspace, NewtonConfig, NewtonStats, Objective};

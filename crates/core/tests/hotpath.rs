@@ -185,7 +185,7 @@ fn evaluation_hot_path_is_allocation_free_after_warmup() {
 
     let ws_before = workspace_builds();
     let mut source = sp.clone();
-    celeste_core::fit_source(&mut source, &problem, &cfg);
+    celeste_core::fit_source(&mut source, &problem, &cfg).unwrap();
     assert_eq!(
         workspace_builds() - ws_before,
         1,

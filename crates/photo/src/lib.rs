@@ -30,4 +30,4 @@ pub mod measure;
 pub mod pipeline;
 
 pub use compare::{compare_catalogs, ErrorRow, TableII};
-pub use pipeline::{run_photo, try_run_photo, PhotoConfig, PhotoError};
+pub use pipeline::{run_photo, PhotoConfig, PhotoError};

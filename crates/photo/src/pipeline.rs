@@ -17,10 +17,7 @@ pub struct PhotoConfig {
     pub classify: ClassifyConfig,
 }
 
-/// Invalid input to the Photo pipeline.
-///
-/// [`try_run_photo`] reports these instead of panicking; the legacy
-/// [`run_photo`] wrapper panics with the same messages.
+/// Invalid input to the Photo pipeline, reported by [`run_photo`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PhotoError {
     /// Two images of the same band were passed for one field.
@@ -49,18 +46,8 @@ impl std::error::Error for PhotoError {}
 /// Photo uses *one* image per band — repeat exposures are ignored
 /// unless they were first combined into a coadd.
 ///
-/// Panics on a duplicate band or a missing r band; the non-panicking
-/// form is [`try_run_photo`].
-pub fn run_photo(images: &[&Image], cfg: &PhotoConfig) -> Catalog {
-    match try_run_photo(images, cfg) {
-        Ok(catalog) => catalog,
-        Err(e) => panic!("run_photo: {e}"),
-    }
-}
-
-/// [`run_photo`] with invalid input reported as a [`PhotoError`]
-/// instead of a panic (the form the `celeste` facade calls).
-pub fn try_run_photo(images: &[&Image], cfg: &PhotoConfig) -> Result<Catalog, PhotoError> {
+/// A duplicate band or a missing r band is a [`PhotoError`].
+pub fn run_photo(images: &[&Image], cfg: &PhotoConfig) -> Result<Catalog, PhotoError> {
     let mut by_band: [Option<&Image>; NUM_BANDS] = [None; NUM_BANDS];
     for img in images {
         let slot = &mut by_band[img.band.index()];
@@ -156,12 +143,6 @@ pub fn try_run_photo(images: &[&Image], cfg: &PhotoConfig) -> Result<Catalog, Ph
     Ok(Catalog::new(entries))
 }
 
-/// Convenience: run Photo when images are owned (e.g. fresh coadds).
-pub fn run_photo_owned(images: &[Image], cfg: &PhotoConfig) -> Catalog {
-    let refs: Vec<&Image> = images.iter().collect();
-    run_photo(&refs, cfg)
-}
-
 /// Fraction of `truth` entries with a `fitted` match within
 /// `radius_arcsec` — the completeness of a catalog.
 pub fn completeness(truth: &Catalog, fitted: &Catalog, radius_arcsec: f64) -> f64 {
@@ -217,6 +198,12 @@ mod tests {
             .collect()
     }
 
+    /// Photo over owned images, which must be valid.
+    fn photo(images: &[Image]) -> Catalog {
+        let refs: Vec<&Image> = images.iter().collect();
+        run_photo(&refs, &PhotoConfig::default()).unwrap()
+    }
+
     fn bright_star(id: u64, ra: f64, dec: f64, flux: f64) -> CatalogEntry {
         CatalogEntry {
             id,
@@ -232,7 +219,7 @@ mod tests {
     fn recovers_bright_star_photometry() {
         let truth = Catalog::new(vec![bright_star(0, 0.025, 0.025, 30.0)]);
         let images = render_scene(&truth, 11);
-        let cat = run_photo_owned(&images, &PhotoConfig::default());
+        let cat = photo(&images);
         assert_eq!(cat.len(), 1);
         let e = &cat.entries[0];
         assert_eq!(e.source_type, SourceType::Star);
@@ -260,7 +247,7 @@ mod tests {
             },
         }]);
         let images = render_scene(&truth, 13);
-        let cat = run_photo_owned(&images, &PhotoConfig::default());
+        let cat = photo(&images);
         assert!(!cat.is_empty());
         let (e, sep) = cat.nearest(&truth.entries[0].pos).unwrap();
         assert!(sep < 2.0);
@@ -272,8 +259,8 @@ mod tests {
     fn completeness_rises_with_flux() {
         let faint = Catalog::new(vec![bright_star(0, 0.015, 0.015, 0.3)]);
         let bright = Catalog::new(vec![bright_star(0, 0.015, 0.015, 30.0)]);
-        let cat_faint = run_photo_owned(&render_scene(&faint, 5), &PhotoConfig::default());
-        let cat_bright = run_photo_owned(&render_scene(&bright, 5), &PhotoConfig::default());
+        let cat_faint = photo(&render_scene(&faint, 5));
+        let cat_bright = photo(&render_scene(&bright, 5));
         let c_faint = completeness(&faint, &cat_faint, 2.0);
         let c_bright = completeness(&bright, &cat_bright, 2.0);
         assert!(c_bright >= c_faint);
@@ -281,38 +268,25 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "r-band image required")]
-    fn missing_reference_band_panics() {
-        let truth = Catalog::new(vec![bright_star(0, 0.025, 0.025, 10.0)]);
-        let images = render_scene(&truth, 2);
-        let no_r: Vec<&Image> = images.iter().filter(|i| i.band != Band::R).collect();
-        let _ = run_photo(&no_r, &PhotoConfig::default());
-    }
-
-    #[test]
-    fn try_run_photo_reports_typed_errors() {
+    fn run_photo_reports_typed_errors() {
         let truth = Catalog::new(vec![bright_star(0, 0.025, 0.025, 10.0)]);
         let images = render_scene(&truth, 2);
         let cfg = PhotoConfig::default();
 
         let no_r: Vec<&Image> = images.iter().filter(|i| i.band != Band::R).collect();
         assert_eq!(
-            try_run_photo(&no_r, &cfg).unwrap_err(),
+            run_photo(&no_r, &cfg).unwrap_err(),
             PhotoError::MissingReferenceBand
         );
 
         let mut dup: Vec<&Image> = images.iter().collect();
         dup.push(&images[Band::G.index()]);
         assert_eq!(
-            try_run_photo(&dup, &cfg).unwrap_err(),
+            run_photo(&dup, &cfg).unwrap_err(),
             PhotoError::DuplicateBand(Band::G)
         );
 
-        // Valid input through the fallible form matches the panicking
-        // wrapper exactly.
         let refs: Vec<&Image> = images.iter().collect();
-        let a = try_run_photo(&refs, &cfg).unwrap();
-        let b = run_photo(&refs, &cfg);
-        assert_eq!(a.entries, b.entries);
+        assert!(run_photo(&refs, &cfg).is_ok());
     }
 }

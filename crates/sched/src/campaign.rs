@@ -1,18 +1,29 @@
 //! End-to-end campaign driver: the whole paper pipeline on one machine.
 //!
-//! Simulated "nodes" are dedicated orchestration threads that lease
-//! region tasks from a [`crate::lease::TaskLedger`] (Dtree
-//! distribution for fresh work), stage their images through a
-//! prefetching loader (the Burst Buffer path), jointly optimize the
-//! region's sources with Cyclades worker spawns on the shared
-//! `celeste-par` executor, and write results back to the PGAS store.
-//! The loops themselves stay off the executor because they block (on
-//! prefetch waits and lease clocks); only their short compute jobs
-//! are stealable. Runtime is decomposed
-//! into the paper's four components (§VII-C): *image loading*
-//! (first-task blocking waits), *task processing* (the compute loop),
-//! *load imbalance* (idle after the queue drains), and *other*
-//! (scheduling, parameter I/O, output).
+//! [`run_campaign_with`] is the one way in. Simulated "nodes" are
+//! dedicated orchestration threads that lease region tasks from a
+//! [`crate::lease::TaskLedger`] (Dtree distribution for fresh work),
+//! stage their images through a prefetching loader (the Burst Buffer
+//! path), and jointly optimize the region's sources with Cyclades
+//! worker spawns on the shared `celeste-par` executor. The loops
+//! themselves stay off the executor because they block (on prefetch
+//! waits and lease clocks); only their short compute jobs are
+//! stealable. Runtime is decomposed into the paper's four components
+//! (§VII-C): *image loading* (first-task blocking waits), *task
+//! processing* (the compute loop), *load imbalance* (idle after the
+//! queue drains), and *other* (scheduling, parameter I/O, output).
+//!
+//! # The parameter table
+//!
+//! The paper keeps every source's parameters in a PGAS store shared
+//! by thousands of nodes (§IV-C). Here the coordinator owns one
+//! id-keyed table, frozen behind an `Arc` for each stage: nodes read
+//! their own sources and fixed neighbours from it and hand their
+//! commits back, applied once the stage's threads join (cancelled or
+//! not). Within a stage every source belongs to exactly one task
+//! (checked up front, see [`CampaignError::InvalidPlan`]), so every
+//! task conditions on the stage's inputs whatever the node count,
+//! thread count, or completion order.
 //!
 //! # Fault tolerance
 //!
@@ -22,6 +33,12 @@
 //! * Every task is processed under a **lease**; a completion is
 //!   accepted only while its lease is current, so results are
 //!   exactly-once even when hung tasks are reclaimed and reissued.
+//! * Nothing reaches the parameter table before its lease commits
+//!   ([`TaskLedger::complete`] returned `true`): failed or superseded
+//!   attempts leave it untouched, a retried task reads exactly the
+//!   parameters the failed attempt read, and a quarantined region's
+//!   sources keep their initialization values. Restored checkpoint
+//!   results are applied by id; unknown ids are ignored.
 //! * Each region fit runs under `catch_unwind`: a panicking fit (or
 //!   failed image load) becomes a typed [`RegionError`] feeding
 //!   bounded retries with seeded-jittered exponential backoff.
@@ -49,7 +66,6 @@ use crate::lease::{
     Acquire, Clock, FailedRegion, RegionError, RetryPolicy, SystemClock, TaskLedger,
 };
 use crate::partition::RegionTask;
-use crate::pgas::ParamStore;
 use crate::runtime::{process_region, RegionStats};
 use celeste_core::{FitConfig, ModelPriors, SourceParams};
 use celeste_survey::bands::Band;
@@ -57,6 +73,7 @@ use celeste_survey::io::{ImageKey, ImageStore, IoError, LoadFaults, Prefetcher};
 use celeste_survey::synth::SyntheticSurvey;
 use celeste_survey::Catalog;
 use parking_lot::Mutex;
+use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -64,11 +81,17 @@ use std::time::Instant;
 /// A fatal campaign failure. Per-region failures (image loads, fit
 /// panics, expired leases) are *not* fatal — they feed the retry path
 /// and, at worst, quarantine the region into
-/// [`CampaignReport::failed_regions`]. What remains fatal: staging
-/// failures, output-catalog write failures, and checkpoint problems
-/// (a durability guarantee that cannot be kept is an error).
+/// [`CampaignReport::failed_regions`]. What remains fatal: a plan the
+/// driver cannot run, staging failures, output-catalog write
+/// failures, and checkpoint problems (a durability guarantee that
+/// cannot be kept is an error).
 #[derive(Debug)]
 pub enum CampaignError {
+    /// The run's inputs are inconsistent, found before anything runs:
+    /// no nodes, a task naming a source index past the end of the
+    /// initialization catalog, one source in two tasks of the same
+    /// stage, or one id on two catalog entries.
+    InvalidPlan(String),
     /// Writing an image into the store during staging failed.
     Staging {
         /// The (field, band) that failed to stage.
@@ -95,6 +118,7 @@ pub enum CampaignError {
 impl std::fmt::Display for CampaignError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
+            CampaignError::InvalidPlan(why) => write!(f, "invalid campaign plan: {why}"),
             CampaignError::Staging { key, source } => {
                 write!(f, "staging image {:?}/{} failed: {source}", key.0, key.1)
             }
@@ -110,6 +134,7 @@ impl std::fmt::Display for CampaignError {
 impl std::error::Error for CampaignError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
+            CampaignError::InvalidPlan(_) => None,
             CampaignError::Staging { source, .. }
             | CampaignError::ImageLoad { source, .. }
             | CampaignError::Output(source) => Some(source),
@@ -317,19 +342,10 @@ impl CampaignReport {
 }
 
 /// Write every survey image into `store` (staging the campaign data,
-/// i.e. the paper's Lustre → Burst Buffer step). Panics if the store
-/// is unwritable; the non-panicking form is [`try_stage_survey`].
-pub fn stage_survey(survey: &SyntheticSurvey, store: &ImageStore) -> usize {
-    try_stage_survey(survey, store).expect("stage image")
-}
-
-/// [`stage_survey`] with store failures reported as a
-/// [`CampaignError::Staging`] carrying the offending (field, band)
-/// instead of a panic. Returns the number of images staged.
-pub fn try_stage_survey(
-    survey: &SyntheticSurvey,
-    store: &ImageStore,
-) -> Result<usize, CampaignError> {
+/// i.e. the paper's Lustre → Burst Buffer step). Returns the number of
+/// images staged; a store failure comes back as a
+/// [`CampaignError::Staging`] carrying the offending (field, band).
+pub fn stage_survey(survey: &SyntheticSurvey, store: &ImageStore) -> Result<usize, CampaignError> {
     use rayon::prelude::*;
     let jobs: Vec<(usize, Band)> = (0..survey.geometry.fields.len())
         .flat_map(|i| Band::ALL.iter().map(move |&b| (i, b)))
@@ -365,9 +381,8 @@ pub fn task_image_keys(survey: &SyntheticSurvey, task: &RegionTask) -> Vec<Image
 }
 
 /// Optional behaviors of one campaign run, threaded through
-/// [`run_campaign_with`]. The default runs exactly like the classic
-/// entry points: no streaming, no checkpointing, no cancellation,
-/// wall-clock time.
+/// [`run_campaign_with`]. The default is a plain run: no streaming,
+/// no checkpointing, no cancellation, wall-clock time.
 #[derive(Default)]
 pub struct RunOptions<'a> {
     /// Emit each finished region here the moment it completes.
@@ -388,100 +403,13 @@ pub struct RunOptions<'a> {
     pub clock: Option<Arc<dyn Clock>>,
 }
 
-/// Run a full campaign: both partition stages, lease-scheduled across
-/// `cfg.n_nodes` node threads. Returns the final catalog parameters
-/// and the measured report. Panics on fatal IO failure; the
-/// non-panicking forms are [`try_run_campaign`],
-/// [`run_campaign_streaming`], and [`run_campaign_with`].
-pub fn run_campaign(
-    survey: &SyntheticSurvey,
-    store: &ImageStore,
-    init_catalog: &Catalog,
-    tasks: &[RegionTask],
-    priors: &ModelPriors,
-    cfg: &CampaignConfig,
-) -> (Vec<SourceParams>, CampaignReport) {
-    campaign_inner(
-        survey,
-        store,
-        init_catalog,
-        tasks,
-        priors,
-        cfg,
-        RunOptions::default(),
-    )
-    .unwrap_or_else(|e| panic!("run_campaign: {e}"))
-}
-
-/// [`run_campaign`] with IO failures reported as [`CampaignError`]s
-/// instead of panics.
-pub fn try_run_campaign(
-    survey: &SyntheticSurvey,
-    store: &ImageStore,
-    init_catalog: &Catalog,
-    tasks: &[RegionTask],
-    priors: &ModelPriors,
-    cfg: &CampaignConfig,
-) -> Result<(Vec<SourceParams>, CampaignReport), CampaignError> {
-    campaign_inner(
-        survey,
-        store,
-        init_catalog,
-        tasks,
-        priors,
-        cfg,
-        RunOptions::default(),
-    )
-}
-
-/// [`try_run_campaign`], additionally emitting a [`RegionResult`] into
-/// `sink` the moment each task's lease commits — partial catalogs are
-/// consumable mid-campaign from the channel's receiving half while
-/// later tasks still compute. A dropped receiver does not stop the
-/// campaign; emission is simply skipped. The returned parameters are
-/// bit-identical to [`run_campaign`]'s: streaming observes the run,
-/// it does not alter it.
-pub fn run_campaign_streaming(
-    survey: &SyntheticSurvey,
-    store: &ImageStore,
-    init_catalog: &Catalog,
-    tasks: &[RegionTask],
-    priors: &ModelPriors,
-    cfg: &CampaignConfig,
-    sink: &RegionSink,
-) -> Result<(Vec<SourceParams>, CampaignReport), CampaignError> {
-    campaign_inner(
-        survey,
-        store,
-        init_catalog,
-        tasks,
-        priors,
-        cfg,
-        RunOptions {
-            sink: Some(sink),
-            ..Default::default()
-        },
-    )
-}
-
-/// The fully-optioned campaign entry point: streaming, checkpointing,
-/// resume, cancellation, and clock injection via [`RunOptions`].
-pub fn run_campaign_with(
-    survey: &SyntheticSurvey,
-    store: &ImageStore,
-    init_catalog: &Catalog,
-    tasks: &[RegionTask],
-    priors: &ModelPriors,
-    cfg: &CampaignConfig,
-    options: RunOptions<'_>,
-) -> Result<(Vec<SourceParams>, CampaignReport), CampaignError> {
-    campaign_inner(survey, store, init_catalog, tasks, priors, cfg, options)
-}
-
 /// Everything a node hands back to the coordinator after its share of
 /// a stage's ledger settles.
 struct NodeOutcome {
     node: usize,
+    /// Every source of every task whose lease committed, for the
+    /// coordinator to apply to the parameter table at the barrier.
+    committed: Vec<SourceParams>,
     comp: ComponentTimes,
     durations: Vec<f64>,
     works: Vec<f64>,
@@ -544,7 +472,68 @@ fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
     }
 }
 
-fn campaign_inner(
+/// Reject a plan the driver cannot run faithfully, before any node
+/// starts: see [`CampaignError::InvalidPlan`].
+fn validate_plan(
+    init_catalog: &Catalog,
+    tasks: &[RegionTask],
+    cfg: &CampaignConfig,
+) -> Result<(), CampaignError> {
+    let invalid = |why: String| Err(CampaignError::InvalidPlan(why));
+    if cfg.n_nodes == 0 {
+        return invalid("n_nodes must be at least 1".into());
+    }
+    let n = init_catalog.len();
+    let mut ids = HashSet::with_capacity(n);
+    for e in &init_catalog.entries {
+        if !ids.insert(e.id) {
+            return invalid(format!("source id {} is on two catalog entries", e.id));
+        }
+    }
+    let mut owner: HashMap<(u8, usize), u64> = HashMap::new();
+    for t in tasks {
+        for &i in &t.source_indices {
+            if i >= n {
+                return invalid(format!(
+                    "task {} names source index {i}, but the catalog has {n} entries",
+                    t.id
+                ));
+            }
+            if let Some(other) = owner.insert((t.stage, i), t.id) {
+                return invalid(format!(
+                    "source index {i} is in tasks {other} and {} of stage {}",
+                    t.id, t.stage
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Write fitted parameters into the table by id. Ids the table does
+/// not hold are ignored, so nothing but the initialization catalog's
+/// sources is ever exported.
+fn apply(table: &mut HashMap<u64, SourceParams>, sources: &[SourceParams]) {
+    for sp in sources {
+        if let Some(slot) = table.get_mut(&sp.id) {
+            slot.params = sp.params;
+        }
+    }
+}
+
+/// Run a full campaign: both partition stages, lease-scheduled across
+/// `cfg.n_nodes` node threads, with streaming, checkpointing, resume,
+/// cancellation, and clock injection chosen by [`RunOptions`]. Returns
+/// the final parameters of every initialization source, sorted by id,
+/// and the measured report.
+///
+/// With a [`RunOptions::sink`], a [`RegionResult`] is emitted the
+/// moment each task's lease commits, so partial catalogs are
+/// consumable while later tasks still compute. A dropped receiver does
+/// not stop the campaign; emission is simply skipped. Streaming
+/// observes the run, it does not alter it: the returned parameters are
+/// bit-identical with or without a sink.
+pub fn run_campaign_with(
     survey: &SyntheticSurvey,
     store: &ImageStore,
     init_catalog: &Catalog,
@@ -553,6 +542,7 @@ fn campaign_inner(
     cfg: &CampaignConfig,
     options: RunOptions<'_>,
 ) -> Result<(Vec<SourceParams>, CampaignReport), CampaignError> {
+    validate_plan(init_catalog, tasks, cfg)?;
     let t_campaign = Instant::now();
     celeste_core::flops::reset_visits();
 
@@ -565,18 +555,23 @@ fn campaign_inner(
     let default_cancel = CancelToken::default();
     let cancel = options.cancel.unwrap_or(&default_cancel);
 
-    // PGAS store holds every source, partitioned across nodes.
-    let params = Arc::new(ParamStore::new(cfg.n_nodes));
-    for e in &init_catalog.entries {
-        params.insert(SourceParams::init_from_entry(e));
-    }
+    // The coordinator's parameter table: every source, by id. Node
+    // threads only ever see it frozen behind the `Arc`.
+    let mut table: Arc<HashMap<u64, SourceParams>> = Arc::new(
+        init_catalog
+            .entries
+            .iter()
+            .map(|e| (e.id, SourceParams::init_from_entry(e)))
+            .collect(),
+    );
     let id_of: Vec<u64> = init_catalog.entries.iter().map(|e| e.id).collect();
 
     // Resume: restore the checkpoint's completed regions. Their
-    // parameters are applied to the PGAS store stage-by-stage below
-    // (stage-1 results must not overwrite stage-0 inputs early), their
-    // tasks are marked pre-done in the ledger, and their results are
-    // re-emitted so streaming consumers still see every region once.
+    // parameters are applied to the table at their stage's barrier
+    // below (stage-1 results must not overwrite stage-0 inputs early),
+    // their tasks are marked pre-done in the ledger, and their results
+    // are re-emitted so streaming consumers still see every region
+    // once.
     let fingerprint = plan_fingerprint(tasks);
     let restored: Vec<RegionResult> = match options.resume {
         Some(ckpt) => {
@@ -590,7 +585,7 @@ fn campaign_inner(
         }
         None => Vec::new(),
     };
-    let restored_ids: std::collections::HashSet<u64> = restored.iter().map(|r| r.task_id).collect();
+    let restored_ids: HashSet<u64> = restored.iter().map(|r| r.task_id).collect();
     let tasks_restored = restored.len();
     if let Some(sink) = sink {
         for r in &restored {
@@ -634,37 +629,28 @@ fn campaign_inner(
         if stage_tasks.is_empty() {
             continue;
         }
-        // Freeze neighbor values at the stage barrier: every task in
-        // this stage conditions on the same parameter snapshot, so a
-        // fit never observes a concurrently completing sibling task
-        // and the campaign is deterministic at any node or thread
-        // count. (Own sources still read live — tasks within a stage
-        // partition them, so nobody else writes them.) The snapshot
-        // is taken *before* restored results are applied: a resumed
-        // task must see exactly the stage inputs the fresh run saw.
-        let neighbor_snapshot: Arc<std::collections::HashMap<u64, SourceParams>> = Arc::new(
-            id_of
-                .iter()
-                .filter_map(|&id| params.get(0, id).map(|sp| (id, sp)))
-                .collect(),
-        );
-        // Apply this stage's restored results (within a stage, tasks
-        // partition the sources, so application order is immaterial).
-        for r in restored.iter().filter(|r| r.stage == stage) {
-            for sp in &r.sources {
-                params.put(0, sp.id, &sp.params);
-            }
-        }
         let pre_done: Vec<usize> = stage_tasks
             .iter()
             .enumerate()
             .filter(|(_, t)| restored_ids.contains(&t.id))
             .map(|(i, _)| i)
             .collect();
+        // This stage's restored results land at its barrier, with the
+        // fresh commits: every task of the stage, restored or not,
+        // conditions on the table as the stage found it. (Within a
+        // stage, tasks partition the sources, so application order is
+        // immaterial.)
+        let restore_stage = |table: &mut Arc<HashMap<u64, SourceParams>>| {
+            for r in restored.iter().filter(|r| r.stage == stage) {
+                apply(Arc::make_mut(table), &r.sources);
+            }
+        };
         if pre_done.len() == stage_tasks.len() {
+            restore_stage(&mut table);
             continue; // whole stage restored from the checkpoint
         }
         if cancel.is_cancelled() || stop.load(Ordering::SeqCst) {
+            restore_stage(&mut table);
             break;
         }
         let meta: Vec<(u64, u8)> = stage_tasks.iter().map(|t| (t.id, t.stage)).collect();
@@ -694,14 +680,13 @@ fn campaign_inner(
             for node in 0..cfg.n_nodes {
                 let ledger = Arc::clone(&ledger);
                 let prefetcher = Arc::clone(&prefetcher);
-                let params = Arc::clone(&params);
+                let table = Arc::clone(&table);
                 let results = Arc::clone(&results);
                 let node_end_times = Arc::clone(&node_end_times);
                 let clock = Arc::clone(&clock);
                 let fatal = Arc::clone(&fatal);
                 let stop = Arc::clone(&stop);
                 let checkpointer = checkpointer.clone();
-                let neighbor_snapshot = Arc::clone(&neighbor_snapshot);
                 let faults = &faults;
                 let stage_tasks = &stage_tasks;
                 let id_of = &id_of;
@@ -709,6 +694,7 @@ fn campaign_inner(
                 s.spawn(move || {
                     let mut out = NodeOutcome {
                         node,
+                        committed: Vec::new(),
                         comp: ComponentTimes::default(),
                         durations: Vec::new(),
                         works: Vec::new(),
@@ -787,10 +773,14 @@ fn campaign_inner(
                             out.comp.other += wait;
                         }
 
-                        // Fetch parameters (PGAS gets) for the region
-                        // and nearby fixed neighbors.
+                        // Read the region's sources and their nearby
+                        // fixed neighbors from the frozen stage table.
                         let t1 = Instant::now();
-                        let mut sources = params.load_task(node, task, id_of);
+                        let mut sources: Vec<SourceParams> = task
+                            .source_indices
+                            .iter()
+                            .map(|&i| table[&id_of[i]].clone())
+                            .collect();
                         let neighbor_rect = task.rect.padded(15.0 / 3600.0);
                         let neighbor_ids: Vec<u64> = init_catalog
                             .entries
@@ -803,7 +793,7 @@ fn campaign_inner(
                             .collect();
                         let neighbors: Vec<SourceParams> = neighbor_ids
                             .iter()
-                            .filter_map(|id| neighbor_snapshot.get(id).cloned())
+                            .filter_map(|id| table.get(id).cloned())
                             .collect();
                         out.comp.other += t1.elapsed().as_secs_f64();
 
@@ -867,7 +857,7 @@ fn campaign_inner(
 
                         // Commit point: results count only while the
                         // lease is current. A stale or expired lease
-                        // discards everything — no PGAS writes, no
+                        // discards everything — no table write, no
                         // emission — preserving exactly-once output.
                         let t3 = Instant::now();
                         if !ledger.complete(&lease) {
@@ -879,19 +869,14 @@ fn campaign_inner(
                         out.comp.task_processing += dt;
                         out.durations.push(dt);
                         out.works.push(task.predicted_work.max(1.0));
-
-                        // Write back (PGAS puts).
-                        for sp in &sources {
-                            params.put(node, sp.id, &sp.params);
-                        }
                         out.comp.other += t3.elapsed().as_secs_f64();
                         out.n_tasks += 1;
                         out.n_sources += sources.len();
 
                         // Streaming + durability surfaces: the
-                        // committed task leaves the node the moment it
-                        // is written back, not at campaign end. A
-                        // closed channel (receiver dropped) just stops
+                        // committed task leaves the node the moment its
+                        // lease commits, not at campaign end. A closed
+                        // channel (receiver dropped) just stops
                         // emission.
                         if sink.is_some() || checkpointer.is_some() {
                             let result = RegionResult {
@@ -915,6 +900,7 @@ fn campaign_inner(
                                 let _ = sink.send(result);
                             }
                         }
+                        out.committed.extend(sources);
 
                         // Evict this task's images to bound memory.
                         for k in &keys {
@@ -937,7 +923,10 @@ fn campaign_inner(
         for &(node, t) in ends.iter() {
             idle_of[node] = t_last - t;
         }
+        // The barrier: commits land only now that every node thread
+        // has joined and dropped its view of the frozen table.
         for out in results.lock().drain(..) {
+            apply(Arc::make_mut(&mut table), &out.committed);
             per_node[out.node].add(&out.comp);
             per_node[out.node].load_imbalance += idle_of[out.node];
             task_durations.extend(out.durations);
@@ -951,6 +940,7 @@ fn campaign_inner(
         retries += stats.retries;
         leases_expired += stats.leases_expired;
         stale_results += stats.stale_completions;
+        restore_stage(&mut table);
     }
 
     // Final checkpoint flush (covers cancellation and `every` > 1).
@@ -964,7 +954,8 @@ fn campaign_inner(
     }
     let cancelled = cancel.is_cancelled() && tasks_completed + failed_regions.len() < tasks.len();
 
-    let fitted = params.export();
+    let mut fitted: Vec<SourceParams> = table.values().cloned().collect();
+    fitted.sort_by_key(|sp| sp.id);
     if !cancelled {
         // Write the fitted catalog back to storage (the paper's
         // "writing output to disk", part of the `other` component).
@@ -1023,47 +1014,88 @@ mod tests {
         })
     }
 
+    /// A staged tiny survey, an initialization catalog perturbed from
+    /// the truth (the paper initializes from an earlier catalog), and
+    /// its task plan.
+    struct Fixture {
+        survey: SyntheticSurvey,
+        store: ImageStore,
+        init: Catalog,
+        tasks: Vec<RegionTask>,
+        dir: std::path::PathBuf,
+    }
+
+    impl Fixture {
+        fn new(tag: &str) -> Fixture {
+            let survey = tiny_survey();
+            let dir =
+                std::env::temp_dir().join(format!("celeste-campaign-{tag}-{}", std::process::id()));
+            let store = ImageStore::open(&dir).unwrap();
+            let staged = stage_survey(&survey, &store).unwrap();
+            assert_eq!(staged, survey.geometry.fields.len() * 5);
+            let mut init = survey.truth.clone();
+            for e in &mut init.entries {
+                e.flux_r_nmgy *= 0.7;
+            }
+            let tasks = partition_sky(
+                &init,
+                &survey.geometry.footprint,
+                &PartitionConfig {
+                    target_work: 600.0,
+                    max_sources: 40,
+                    ..Default::default()
+                },
+            );
+            assert!(tasks.len() >= 2, "want multiple tasks, got {}", tasks.len());
+            Fixture {
+                survey,
+                store,
+                init,
+                tasks,
+                dir,
+            }
+        }
+
+        fn run(
+            &self,
+            n_nodes: usize,
+        ) -> Result<(Vec<SourceParams>, CampaignReport), CampaignError> {
+            let cfg = CampaignConfig {
+                n_nodes,
+                threads_per_node: 2,
+                fit: FitConfig {
+                    bca_passes: 1,
+                    newton: celeste_core::NewtonConfig {
+                        max_iters: 12,
+                        ..Default::default()
+                    },
+                    ..Default::default()
+                },
+                ..Default::default()
+            };
+            run_campaign_with(
+                &self.survey,
+                &self.store,
+                &self.init,
+                &self.tasks,
+                &ModelPriors::new(Priors::sdss_default()),
+                &cfg,
+                RunOptions::default(),
+            )
+        }
+    }
+
+    impl Drop for Fixture {
+        fn drop(&mut self) {
+            std::fs::remove_dir_all(&self.dir).ok();
+        }
+    }
+
     #[test]
     fn campaign_runs_end_to_end() {
-        let survey = tiny_survey();
-        let dir = std::env::temp_dir().join(format!("celeste-campaign-{}", std::process::id()));
-        let store = ImageStore::open(&dir).unwrap();
-        let staged = stage_survey(&survey, &store);
-        assert_eq!(staged, survey.geometry.fields.len() * 5);
-
-        // Initialize from the *truth* catalog with perturbed fluxes
-        // (the paper initializes from an earlier catalog).
-        let mut init = survey.truth.clone();
-        for e in &mut init.entries {
-            e.flux_r_nmgy *= 0.7;
-        }
-        let tasks = partition_sky(
-            &init,
-            &survey.geometry.footprint,
-            &PartitionConfig {
-                target_work: 600.0,
-                max_sources: 40,
-                ..Default::default()
-            },
-        );
-        assert!(tasks.len() >= 2, "want multiple tasks, got {}", tasks.len());
-
-        let priors = ModelPriors::new(Priors::sdss_default());
-        let fit = FitConfig {
-            bca_passes: 1,
-            newton: celeste_core::NewtonConfig {
-                max_iters: 12,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let cfg = CampaignConfig {
-            n_nodes: 2,
-            threads_per_node: 2,
-            fit,
-            ..Default::default()
-        };
-        let (fitted, report) = run_campaign(&survey, &store, &init, &tasks, &priors, &cfg);
+        let fx = Fixture::new("e2e");
+        let (survey, init, tasks) = (&fx.survey, &fx.init, &fx.tasks);
+        let (fitted, report) = fx.run(2).unwrap();
 
         assert_eq!(fitted.len(), init.len());
         assert_eq!(report.tasks_completed, tasks.len());
@@ -1105,6 +1137,68 @@ mod tests {
             "only {improved}/{} bright sources improved",
             bright.len()
         );
-        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Every task reads the table as its stage found it, so neither
+    /// the node count nor the order tasks finish in can move a bit.
+    #[test]
+    fn params_are_bit_identical_at_one_two_and_three_nodes() {
+        let fx = Fixture::new("nodes");
+        let (want, _) = fx.run(1).unwrap();
+        for n_nodes in [2, 3] {
+            let (got, report) = fx.run(n_nodes).unwrap();
+            assert_eq!(report.per_node.len(), n_nodes);
+            assert_eq!(got.len(), want.len());
+            for (g, w) in got.iter().zip(&want) {
+                assert_eq!(g.id, w.id);
+                assert_eq!(
+                    g.params, w.params,
+                    "source {} moved at {n_nodes} nodes",
+                    g.id
+                );
+            }
+        }
+    }
+
+    fn assert_invalid_plan(fx: &Fixture, n_nodes: usize, what: &str) {
+        match fx.run(n_nodes) {
+            Err(CampaignError::InvalidPlan(why)) => assert!(why.contains(what), "{why}"),
+            other => panic!("want InvalidPlan ({what}), got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn zero_nodes_is_an_invalid_plan() {
+        assert_invalid_plan(&Fixture::new("zero-nodes"), 0, "n_nodes");
+    }
+
+    #[test]
+    fn source_index_past_the_catalog_is_an_invalid_plan() {
+        let mut fx = Fixture::new("past-end");
+        let n = fx.init.len();
+        fx.tasks[0].source_indices.push(n);
+        assert_invalid_plan(&fx, 2, "source index");
+    }
+
+    #[test]
+    fn one_source_in_two_tasks_of_a_stage_is_an_invalid_plan() {
+        let mut fx = Fixture::new("shared-source");
+        let (stage, id, i) = (
+            fx.tasks[0].stage,
+            fx.tasks[0].id,
+            fx.tasks[0].source_indices[0],
+        );
+        let other = fx.tasks.iter().position(|t| t.stage == stage && t.id != id);
+        fx.tasks[other.expect("two tasks in one stage")]
+            .source_indices
+            .push(i);
+        assert_invalid_plan(&fx, 2, "in tasks");
+    }
+
+    #[test]
+    fn duplicate_catalog_ids_are_an_invalid_plan() {
+        let mut fx = Fixture::new("dup-ids");
+        fx.init.entries[1].id = fx.init.entries[0].id;
+        assert_invalid_plan(&fx, 2, "two catalog entries");
     }
 }

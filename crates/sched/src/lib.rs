@@ -10,16 +10,18 @@
 //! 2. **Node level** — [`cyclades`] samples the region's conflict
 //!    graph and partitions connected components across worker threads
 //!    so that overlapping sources are never optimized concurrently
-//!    (Pan et al. 2016); [`pgas`] holds the current parameters for all
-//!    sources in a sharded global address space with `get`/`put`
-//!    semantics modeled on the Global Arrays Toolkit over MPI-3 RMA.
+//!    (Pan et al. 2016). The paper keeps every source's parameters in
+//!    a PGAS store with one-sided MPI-3 `get`/`put`; on one machine
+//!    the [`campaign`] coordinator owns one table, frozen at each
+//!    stage barrier and written only there.
 //! 3. **Source level** — `celeste-core`'s Newton trust-region fit.
 //!
 //! [`runtime`] wires these together into a real multi-threaded
-//! region processor, and [`campaign`] runs a full survey end-to-end on
-//! this machine (simulated "nodes" = thread groups), measuring the
-//! same four runtime components the paper plots in Figs. 4–5: task
-//! processing, image loading, load imbalance, and other.
+//! region processor, and [`run_campaign_with`], the one campaign entry
+//! point, runs a full survey end-to-end on this machine (simulated
+//! "nodes" = thread groups), measuring the same four runtime
+//! components the paper plots in Figs. 4–5: task processing, image
+//! loading, load imbalance, and other.
 //!
 //! The resilience layer — [`lease`] (leased tasks with retry/backoff
 //! and quarantine), [`checkpoint`] (durable resume state), and
@@ -34,14 +36,12 @@ pub mod dtree;
 pub mod fault;
 pub mod lease;
 pub mod partition;
-pub mod pgas;
 pub mod runtime;
 
 pub use campaign::{
-    fit_config_hash, run_campaign, run_campaign_streaming, run_campaign_with, stage_survey,
-    task_image_keys, try_run_campaign, try_stage_survey, CampaignConfig, CampaignError,
-    CampaignReport, CancelToken, ComponentTimes, RegionProvenance, RegionResult, RegionSink,
-    RunOptions,
+    fit_config_hash, run_campaign_with, stage_survey, task_image_keys, CampaignConfig,
+    CampaignError, CampaignReport, CancelToken, ComponentTimes, RegionProvenance, RegionResult,
+    RegionSink, RunOptions,
 };
 pub use checkpoint::{plan_fingerprint, Checkpoint, CheckpointConfig, CheckpointError};
 pub use cyclades::{conflict_graph, sample_batches, ConflictGraph};
@@ -53,5 +53,4 @@ pub use lease::{
 pub use partition::{
     partition_sky, try_partition_sky, PartitionConfig, PartitionError, RegionTask,
 };
-pub use pgas::{ParamStore, StoreStats};
 pub use runtime::{process_region, RegionStats};

@@ -48,7 +48,7 @@ fn fixture(tag: &str) -> (SyntheticSurvey, ImageStore, Catalog, Vec<RegionTask>)
     let dir = std::env::temp_dir().join(format!("celeste-chaos-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let store = ImageStore::open(&dir).unwrap();
-    stage_survey(&survey, &store);
+    stage_survey(&survey, &store).unwrap();
     let mut init = survey.truth.clone();
     for e in &mut init.entries {
         e.flux_r_nmgy *= 0.7;

@@ -3,9 +3,11 @@
 //! uninterrupted run — restored regions are never refit, only the
 //! remaining tasks run, and the merge is exact.
 //!
-//! All parity runs use `n_nodes = 1`, where the Dtree pop order (and
-//! therefore the completion order and every neighbor read) is
-//! deterministic, so any completion prefix is a valid crash point.
+//! All parity runs use `n_nodes = 1` to keep the suite small. The
+//! result does not depend on the node count or the completion order:
+//! every task of a stage reads the same frozen parameter table, and
+//! commits land at the stage barrier, so any completion prefix is a
+//! valid crash point.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,7 +53,7 @@ fn fixture(
     let dir = std::env::temp_dir().join(format!("celeste-ckpt-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let store = ImageStore::open(&dir).unwrap();
-    stage_survey(&survey, &store);
+    stage_survey(&survey, &store).unwrap();
     let mut init = survey.truth.clone();
     for e in &mut init.entries {
         e.flux_r_nmgy *= 0.7;
@@ -291,10 +293,10 @@ fn facade_checkpointed_run_matches_plain_run_and_guards_the_plan() {
         other => panic!("want PlanMismatch, got {:?}", other.map(|_| ())),
     }
 
-    // run_campaign_checkpointed is run_campaign plus durability.
+    // A fresh checkpointed run is run_campaign plus durability.
     let ckpt2 = CheckpointConfig::new(dir.join("chk.sckp"), 3);
     let chk = session
-        .run_campaign_checkpointed(&survey, &store, &init, &tasks, &ckpt2)
+        .resume_campaign(&survey, &store, &init, &tasks, &ckpt2)
         .unwrap();
     assert_params_bitwise(&chk.params, &plain.params, "checkpointed run");
     assert_eq!(chk.regions.len(), tasks.len());

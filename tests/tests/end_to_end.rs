@@ -4,7 +4,9 @@
 use celeste_core::{FitConfig, ModelPriors, SourceParams};
 use celeste_photo::compare::CompareConfig;
 use celeste_photo::{compare_catalogs, run_photo, PhotoConfig};
-use celeste_sched::{partition_sky, run_campaign, stage_survey, CampaignConfig, PartitionConfig};
+use celeste_sched::{
+    partition_sky, run_campaign_with, stage_survey, CampaignConfig, PartitionConfig, RunOptions,
+};
 use celeste_survey::io::ImageStore;
 use celeste_survey::skygeom::GeometryConfig;
 use celeste_survey::synth::{SurveyConfig, SyntheticSurvey};
@@ -43,7 +45,7 @@ fn photo_then_celeste_beats_photo_alone() {
     let images = single_epoch_images(&survey);
     let refs: Vec<&Image> = images.iter().collect();
 
-    let photo_catalog = run_photo(&refs, &PhotoConfig::default());
+    let photo_catalog = run_photo(&refs, &PhotoConfig::default()).unwrap();
     assert!(
         photo_catalog.len() >= 3,
         "Photo found only {}",
@@ -102,7 +104,7 @@ fn photo_then_celeste_beats_photo_alone() {
 
 #[test]
 fn campaign_matches_direct_region_processing() {
-    // The distributed path (partition → Dtree → PGAS → Cyclades) must
+    // The distributed path (partition → Dtree → stage table → Cyclades) must
     // produce the same science as calling the optimizer directly.
     let survey = SyntheticSurvey::generate(SurveyConfig {
         geometry: GeometryConfig {
@@ -119,7 +121,7 @@ fn campaign_matches_direct_region_processing() {
     });
     let dir = std::env::temp_dir().join(format!("celeste-int-campaign-{}", std::process::id()));
     let store = ImageStore::open(&dir).unwrap();
-    stage_survey(&survey, &store);
+    stage_survey(&survey, &store).unwrap();
 
     let mut init = survey.truth.clone();
     for e in &mut init.entries {
@@ -149,7 +151,16 @@ fn campaign_matches_direct_region_processing() {
         fit,
         ..Default::default()
     };
-    let (fitted, report) = run_campaign(&survey, &store, &init, &tasks, &priors, &cfg);
+    let (fitted, report) = run_campaign_with(
+        &survey,
+        &store,
+        &init,
+        &tasks,
+        &priors,
+        &cfg,
+        RunOptions::default(),
+    )
+    .unwrap();
 
     assert_eq!(report.tasks_completed, tasks.len());
     // Bright-source fluxes from the campaign path approach truth.
@@ -248,7 +259,7 @@ fn uncertainty_calibration_on_repeated_noise() {
         render_observed(&Catalog::new(vec![truth.clone()]), &mut img, seed);
         let mut sp = SourceParams::init_from_entry(&truth);
         let problem = celeste_core::SourceProblem::build(&sp, &[&img], &[], &priors, &cfg);
-        celeste_core::fit_source(&mut sp, &problem, &cfg);
+        celeste_core::fit_source(&mut sp, &problem, &cfg).unwrap();
         estimates.push(sp.to_entry().flux_r_nmgy);
         reported_sd = sp.uncertainty().flux_sd_nmgy;
     }

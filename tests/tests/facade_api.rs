@@ -1,17 +1,19 @@
 //! Facade contract tests: the session API must be a *view* over the
-//! legacy free functions, not a different pipeline.
+//! free functions, not a different pipeline.
 //!
 //! * Streaming parity — draining `Session::run_campaign`'s region
-//!   stream reproduces the legacy `run_campaign` tuple return
+//!   stream reproduces the `run_campaign_with` tuple return
 //!   bit-identically, at 1 and 2 executor threads.
 //! * Error paths — invalid input (duplicate band, missing r band,
-//!   empty task list, unwritable store, non-finite parameters) comes
-//!   back as the right `CelesteError` variant instead of a panic.
+//!   empty task list, duplicate catalog ids, unwritable store,
+//!   non-finite parameters) comes back as the right `CelesteError`
+//!   variant instead of a panic.
 
 use celeste::{Celeste, CelesteError, FitConfig, Session};
 use celeste_par::ThreadPool;
 use celeste_sched::{
-    partition_sky, run_campaign, stage_survey, CampaignConfig, PartitionConfig, RegionTask,
+    partition_sky, run_campaign_with, stage_survey, CampaignConfig, CampaignError, PartitionConfig,
+    RegionTask, RunOptions,
 };
 use celeste_survey::bands::Band;
 use celeste_survey::io::ImageStore;
@@ -59,7 +61,7 @@ fn campaign_fixture(
     let dir = std::env::temp_dir().join(format!("celeste-facade-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let store = ImageStore::open(&dir).unwrap();
-    stage_survey(&survey, &store);
+    stage_survey(&survey, &store).unwrap();
     let mut init = survey.truth.clone();
     for e in &mut init.entries {
         e.flux_r_nmgy *= 0.7;
@@ -78,9 +80,11 @@ fn campaign_fixture(
 }
 
 fn parity_session() -> Session {
-    // n_nodes = 1 makes the Dtree pop order deterministic, so two
-    // independent runs are bitwise comparable; threads = 2 keeps the
-    // Cyclades batch structure fixed across executor widths.
+    // One node keeps the suite small; the result does not depend on
+    // the node count (every task of a stage reads the same frozen
+    // parameter table, and commits land at the stage barrier).
+    // threads = 2 keeps the Cyclades batch structure fixed across
+    // executor widths.
     Celeste::builder()
         .threads(2)
         .n_nodes(1)
@@ -94,7 +98,7 @@ fn streaming_campaign_matches_legacy_batch_bitwise() {
     let (survey, store, init, tasks, dir) = campaign_fixture("parity");
     let session = parity_session();
     // The exact CampaignConfig the session derives, handed to the
-    // legacy entry point.
+    // sched entry point.
     let legacy_cfg: CampaignConfig = session.config().campaign();
     let priors = session.config().priors.clone();
 
@@ -111,8 +115,19 @@ fn streaming_campaign_matches_legacy_batch_bitwise() {
     // variant must agree with the drained stream bit-for-bit.
     for width in [1usize, 2] {
         let pool = ThreadPool::new(width);
-        let (legacy_params, legacy_report) =
-            pool.install(|| run_campaign(&survey, &store, &init, &tasks, &priors, &legacy_cfg));
+        let (legacy_params, legacy_report) = pool
+            .install(|| {
+                run_campaign_with(
+                    &survey,
+                    &store,
+                    &init,
+                    &tasks,
+                    &priors,
+                    &legacy_cfg,
+                    RunOptions::default(),
+                )
+            })
+            .unwrap();
         assert_eq!(legacy_report.tasks_completed, tasks.len());
         assert_eq!(legacy_params.len(), outcome.params.len());
         for (a, b) in outcome.params.iter().zip(&legacy_params) {
@@ -260,6 +275,19 @@ fn empty_task_list_is_a_typed_error() {
     match session.run_campaign(&survey, &store, &init, &[]) {
         Err(CelesteError::EmptyTaskList) => {}
         other => panic!("want EmptyTaskList error, got {:?}", other.map(|_| ())),
+    }
+    drop(store);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn duplicate_catalog_ids_are_a_typed_error() {
+    let (survey, store, mut init, tasks, dir) = campaign_fixture("dupids");
+    init.entries[1].id = init.entries[0].id;
+    let session = parity_session();
+    match session.run_campaign(&survey, &store, &init, &tasks) {
+        Err(CelesteError::Campaign(CampaignError::InvalidPlan(_))) => {}
+        other => panic!("want InvalidPlan error, got {:?}", other.map(|_| ())),
     }
     drop(store);
     std::fs::remove_dir_all(&dir).ok();

@@ -61,7 +61,7 @@ fn campaign_fixture(
     let dir = std::env::temp_dir().join(format!("celeste-serve-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let store = ImageStore::open(&dir).unwrap();
-    stage_survey(&survey, &store);
+    stage_survey(&survey, &store).unwrap();
     let mut init = survey.truth.clone();
     for e in &mut init.entries {
         e.flux_r_nmgy *= 0.7;
@@ -80,6 +80,9 @@ fn campaign_fixture(
 }
 
 fn parity_session() -> Session {
+    // One node keeps the suite small; the result does not depend on
+    // the node count (every task of a stage reads the same frozen
+    // parameter table, and commits land at the stage barrier).
     Celeste::builder()
         .threads(2)
         .n_nodes(1)

@@ -3,7 +3,7 @@
 //!
 //! * Streaming parity — a store fed live by
 //!   `Session::run_campaign_into_store` snapshots to a catalog
-//!   bit-identical to the legacy batch output, at explicit 1- and
+//!   bit-identical to the batch `run_campaign_with` output, at explicit 1- and
 //!   2-thread executor pools.
 //! * Provenance cache — an unchanged re-run restores every shard
 //!   from cache and refits none; perturbing one initialization entry
@@ -23,7 +23,9 @@ use celeste::{
     StoreConfig, StoreError,
 };
 use celeste_par::ThreadPool;
-use celeste_sched::{partition_sky, run_campaign, stage_survey, PartitionConfig, RegionTask};
+use celeste_sched::{
+    partition_sky, run_campaign_with, stage_survey, PartitionConfig, RegionTask, RunOptions,
+};
 use celeste_survey::catalog::{CatalogEntry, GalaxyShape, SourceType};
 use celeste_survey::io::ImageStore;
 use celeste_survey::skygeom::{GeometryConfig, SkyCoord, SkyRect};
@@ -72,7 +74,7 @@ fn campaign_fixture(
     let dir = std::env::temp_dir().join(format!("celeste-store-{tag}-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let store = ImageStore::open(&dir).unwrap();
-    stage_survey(&survey, &store);
+    stage_survey(&survey, &store).unwrap();
     let mut init = survey.truth.clone();
     for e in &mut init.entries {
         e.flux_r_nmgy *= 0.7;
@@ -91,8 +93,11 @@ fn campaign_fixture(
 }
 
 fn parity_session() -> Session {
-    // n_nodes = 1 makes the Dtree pop order deterministic; threads = 2
-    // keeps the Cyclades batch structure fixed across executor widths.
+    // One node keeps the suite small; the result does not depend on
+    // the node count (every task of a stage reads the same frozen
+    // parameter table, and commits land at the stage barrier).
+    // threads = 2 keeps the Cyclades batch structure fixed across
+    // executor widths.
     Celeste::builder()
         .threads(2)
         .n_nodes(1)
@@ -130,8 +135,19 @@ fn streamed_store_matches_batch_catalog_bitwise_at_1_and_2_threads() {
     // bit-identical to the streamed store's snapshot.
     for width in [1usize, 2] {
         let pool = ThreadPool::new(width);
-        let (legacy_params, _) =
-            pool.install(|| run_campaign(&survey, &store, &init, &tasks, &priors, &legacy_cfg));
+        let (legacy_params, _) = pool
+            .install(|| {
+                run_campaign_with(
+                    &survey,
+                    &store,
+                    &init,
+                    &tasks,
+                    &priors,
+                    &legacy_cfg,
+                    RunOptions::default(),
+                )
+            })
+            .unwrap();
         let mut batch: Vec<CatalogEntry> = legacy_params.iter().map(|sp| sp.to_entry()).collect();
         batch.sort_by_key(|e| e.id);
         assert_catalogs_bitwise_equal(
