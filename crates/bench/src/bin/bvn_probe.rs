@@ -4,7 +4,7 @@
 //! record); the parity check is a gate — any mismatch beyond 1e-12
 //! exits nonzero, so CI can run this as a smoke test.
 
-use celeste_core::bvn::{GalaxyGeo, GeoEval, PreparedGalaxy, PreparedStar, RouteCounts};
+use celeste_core::bvn::{Appearance, GalaxyGeo, GeoEval, RouteCounts};
 use celeste_survey::psf::Psf;
 use std::hint::black_box;
 use std::process::ExitCode;
@@ -102,10 +102,10 @@ fn main() -> ExitCode {
         angle: 0.8,
         ln_radius: 0.4,
     };
-    let mut gal = PreparedGalaxy::default();
-    gal.prepare(&psf, &geo, [10.0, 12.0], [0.1, -0.2], &jac, CULL_TOL);
-    let mut star = PreparedStar::default();
-    star.prepare(&psf, [10.0, 12.0], [0.1, -0.2], &jac, CULL_TOL);
+    let mut gal = Appearance::default();
+    gal.prepare_galaxy(&psf, &geo, [10.0, 12.0], [0.1, -0.2], &jac, CULL_TOL);
+    let mut star = Appearance::default();
+    star.prepare_star(&psf, [10.0, 12.0], [0.1, -0.2], &jac, CULL_TOL);
 
     // A dense grid spanning core, boundary ring, and wings, so every
     // route (skip / batch / masked / scalar) is represented.
@@ -182,6 +182,16 @@ fn main() -> ExitCode {
     }) / n;
     println!("gal deriv portable   : {t:8.2} ns/px");
     let t = time_ns(reps, || {
+        pts.iter().map(|&(x, y)| star.eval_value(x, y)).sum::<f64>()
+    }) / n;
+    println!("star value dispatched: {t:8.2} ns/px");
+    let t = time_ns(reps, || {
+        pts.iter()
+            .map(|&(x, y)| star.eval_value_portable(x, y))
+            .sum::<f64>()
+    }) / n;
+    println!("star value portable  : {t:8.2} ns/px");
+    let t = time_ns(reps, || {
         pts.iter().map(|&(x, y)| star.eval(x, y).val).sum::<f64>()
     }) / n;
     println!("star deriv dispatched: {t:8.2} ns/px");
@@ -218,9 +228,10 @@ fn main() -> ExitCode {
                 .max(worst_rel_err(&d, &r))
                 .max(worst_rel_err(&p, &r));
         }
-        let vd = (gal.eval_value(x, y) - gal.eval_value_portable(x, y)).abs()
-            / (1.0 + gal.eval_value_portable(x, y).abs());
-        worst_dp = worst_dp.max(vd);
+        for a in [&gal, &star] {
+            let (vd, vp) = (a.eval_value(x, y), a.eval_value_portable(x, y));
+            worst_dp = worst_dp.max((vd - vp).abs() / (1.0 + vp.abs()));
+        }
     }
     println!("parity dispatched vs portable : {worst_dp:.3e} (gate 1e-12)");
     println!("parity vs frozen reference    : {worst_ref:.3e} (culling bound {cull_bound:.1e})");

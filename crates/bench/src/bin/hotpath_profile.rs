@@ -29,7 +29,7 @@
 //!
 //! Usage: `cargo run --release --bin hotpath_profile [out.json]`
 
-use celeste_core::bvn::{PreparedGalaxy, PreparedStar, RouteCounts};
+use celeste_core::bvn::{Appearance, RouteCounts};
 use celeste_core::likelihood::{
     add_likelihood_dense, add_likelihood_into, galaxy_geo, likelihood_value_into, LikScratch,
 };
@@ -68,12 +68,6 @@ fn main() {
     let scene = celeste_bench::stripe82_scene(1, 25_000.0, 0xBE9C);
     let priors = ModelPriors::new(Priors::sdss_default());
     let refs: Vec<&Image> = scene.single_run.iter().collect();
-    // Culling-tolerance override for perf experiments
-    // (CELESTE_CULL_TOL=0 measures the exact kernel).
-    let cull_tol = std::env::var("CELESTE_CULL_TOL")
-        .ok()
-        .and_then(|s| s.parse::<f64>().ok())
-        .unwrap_or(FitConfig::default().cull_tol);
     let entry = scene
         .truth
         .entries
@@ -81,10 +75,7 @@ fn main() {
         .max_by(|a, b| a.flux_r_nmgy.partial_cmp(&b.flux_r_nmgy).unwrap())
         .expect("scene nonempty");
     let sp = SourceParams::init_from_entry(entry);
-    let cfg = FitConfig {
-        cull_tol,
-        ..FitConfig::default()
-    };
+    let cfg = FitConfig::default();
     let problem = celeste_core::SourceProblem::build(&sp, &refs, &[], &priors, &cfg);
     let pixels: usize = problem.blocks.iter().map(|b| b.pixels.len()).sum();
     assert!(pixels > 0, "profile scene has no active pixels");
@@ -93,9 +84,9 @@ fn main() {
         problem.blocks.len()
     );
 
-    // Chunk-route histogram over the profiled scene: replays the
-    // dispatched derivative kernel's routing (skip / batch / masked /
-    // scalar) for both appearances at every active pixel, so a
+    // Chunk-route histogram over the profiled scene: the routes the
+    // dispatched derivative kernel's own walk takes (skip / batch /
+    // masked / scalar) for both appearances at every active pixel, so a
     // routing regression — e.g. boundary chunks falling off the
     // masked route back to scalar — is visible in the committed
     // record, not just in aggregate ns/px.
@@ -103,11 +94,11 @@ fn main() {
     {
         let u = [sp.params[ids::U[0]], sp.params[ids::U[1]]];
         let geo = galaxy_geo(&sp.params);
-        let mut star = PreparedStar::default();
-        let mut gal = PreparedGalaxy::default();
+        let mut star = Appearance::default();
+        let mut gal = Appearance::default();
         for block in &problem.blocks {
-            star.prepare(&block.psf, block.center0, u, &block.jac, problem.cull_tol);
-            gal.prepare(
+            star.prepare_star(&block.psf, block.center0, u, &block.jac, problem.cull_tol);
+            gal.prepare_galaxy(
                 &block.psf,
                 &geo,
                 block.center0,
@@ -175,7 +166,6 @@ fn main() {
     // executor thread and at the configured width.
     let region_fit = FitConfig {
         bca_passes: 1,
-        cull_tol,
         ..FitConfig::default()
     };
     let region_threads = celeste_par::configured_threads();

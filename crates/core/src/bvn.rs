@@ -15,8 +15,9 @@
 //!
 //! All pixel-independent quantities (inverse covariances, the Σ-chain
 //! matrices, trace contractions) are precomputed once per Newton
-//! iteration in [`PreparedStar`] / [`PreparedGalaxy`]; the per-pixel
-//! work is a handful of 2-vector contractions per mixture component.
+//! iteration in an [`Appearance`] — one type for stars and galaxies,
+//! which differ only in how they are prepared; the per-pixel work is a
+//! handful of 2-vector contractions per mixture component.
 //!
 //! ## Component culling and lane batching
 //!
@@ -32,8 +33,21 @@
 //! blocks that carry just the fields the production kernel reads
 //! (~60 doubles instead of the full ~140-double prepared component).
 //! With tolerance 0 the cut degenerates to the hard `qf > 100` cutoff
-//! and the kernel agrees with [`PreparedGalaxy::eval_reference`] to
+//! and the kernel agrees with [`Appearance::eval_reference`] to
 //! 1e-12.
+//!
+//! ## One walk
+//!
+//! Every evaluation path — value-only, derivatives, and the
+//! diagnostic route counts; dispatched and portable — is one generic
+//! chunk walk over the lanes that differs only in its *sink*, the
+//! code that consumes the surviving components. The walk screens each
+//! chunk, and under FMA dispatch routes it (skip / batch / masked /
+//! scalar, see [`MASKED_BREAK_EVEN`]); a single `avx2,fma`
+//! target-feature function instantiates it, behind the one
+//! process-global dispatch decision. So the value and derivative
+//! kernels share their culling decisions by construction, and
+//! [`RouteCounts`] records the routes the derivative kernel takes.
 
 use crate::params::sigmoid;
 use celeste_survey::galaxy::{dev_mixture, exp_mixture};
@@ -594,24 +608,6 @@ impl Lanes {
     }
 }
 
-/// Prepared star appearance: PSF mixture with position derivatives.
-#[derive(Debug, Clone)]
-pub struct PreparedStar {
-    comps: Vec<PreparedComp>,
-    lanes: Lanes,
-    /// Source center in pixel coordinates (anchor + J·u already applied).
-    center: [f64; 2],
-}
-
-/// Prepared galaxy appearance: (profile ⊛ PSF) mixture with position,
-/// mixing, and shape derivatives.
-#[derive(Debug, Clone)]
-pub struct PreparedGalaxy {
-    comps: Vec<PreparedComp>,
-    lanes: Lanes,
-    center: [f64; 2],
-}
-
 /// Shape inputs in unconstrained space.
 #[derive(Debug, Clone, Copy)]
 pub struct GalaxyGeo {
@@ -690,32 +686,50 @@ fn shape_cov_derivs(v: f64, geo: &GalaxyGeo) -> (Sym2, [Sym2; 3], [[Sym2; 3]; 3]
     (sig, d1, d2)
 }
 
-impl Default for PreparedStar {
-    /// An empty appearance; fill with [`PreparedStar::prepare`].
-    fn default() -> Self {
-        PreparedStar {
-            comps: Vec::new(),
-            lanes: Lanes::default(),
-            center: [0.0; 2],
-        }
-    }
+/// A prepared source appearance: a star's PSF mixture (position
+/// derivatives only) or a galaxy's (profile ⊛ PSF) mixture (position,
+/// mixing and shape derivatives). The two differ only in how they are
+/// prepared; every evaluation path is shared.
+#[derive(Debug, Clone, Default)]
+pub struct Appearance {
+    comps: Vec<PreparedComp>,
+    lanes: Lanes,
+    /// Source center in pixel coordinates (anchor + J·u already applied).
+    center: [f64; 2],
+    /// Whether the galaxy slots (fd, axis, angle, ln-radius) are live.
+    shape: bool,
 }
 
-impl PreparedStar {
+impl Appearance {
     /// Prepare a star appearance at culling tolerance zero: `center0`
     /// is the anchor position in pixels, `u_arcsec` the current
     /// offset, `jac` maps arcsec → px.
-    pub fn new(psf: &Psf, center0: [f64; 2], u_arcsec: [f64; 2], jac: &[[f64; 2]; 2]) -> Self {
-        let mut out = PreparedStar::default();
-        out.prepare(psf, center0, u_arcsec, jac, 0.0);
+    pub fn star(psf: &Psf, center0: [f64; 2], u_arcsec: [f64; 2], jac: &[[f64; 2]; 2]) -> Self {
+        let mut out = Appearance::default();
+        out.prepare_star(psf, center0, u_arcsec, jac, 0.0);
         out
     }
 
-    /// Refill in place, reusing the component buffers' allocations
-    /// (the per-evaluation path of the zero-allocation hot loop).
-    /// `cull_tol` bounds the per-component, per-slot error of skipping
-    /// distant components; 0 disables culling beyond the hard cutoff.
-    pub fn prepare(
+    /// Prepare a galaxy appearance for the current shape parameters at
+    /// culling tolerance zero.
+    pub fn galaxy(
+        psf: &Psf,
+        geo: &GalaxyGeo,
+        center0: [f64; 2],
+        u_arcsec: [f64; 2],
+        jac: &[[f64; 2]; 2],
+    ) -> Self {
+        let mut out = Appearance::default();
+        out.prepare_galaxy(psf, geo, center0, u_arcsec, jac, 0.0);
+        out
+    }
+
+    /// Refill in place as a star, reusing the component buffers'
+    /// allocations (the per-evaluation path of the zero-allocation hot
+    /// loop). `cull_tol` bounds the per-component, per-slot error of
+    /// skipping distant components; 0 disables culling beyond the hard
+    /// cutoff.
+    pub fn prepare_star(
         &mut self,
         psf: &Psf,
         center0: [f64; 2],
@@ -724,6 +738,7 @@ impl PreparedStar {
         cull_tol: f64,
     ) {
         self.center = apply_offset(center0, u_arcsec, jac);
+        self.shape = false;
         self.comps.clear();
         self.comps.extend(psf.components.iter().map(|c| {
             prepare_comp(
@@ -740,80 +755,8 @@ impl PreparedStar {
         self.lanes.rebuild(&self.comps);
     }
 
-    /// Number of prepared mixture components (sizes the advertised
-    /// culling error bound `comps × tol`).
-    pub fn n_comps(&self) -> usize {
-        self.comps.len()
-    }
-
-    /// Evaluate value/gradient/Hessian at a pixel center.
-    pub fn eval(&self, px: f64, py: f64) -> GeoEval {
-        eval_lanes(&self.lanes, self.center, px, py, false)
-    }
-
-    /// The frozen pre-refactor kernel (parity/benchmark reference).
-    pub fn eval_reference(&self, px: f64, py: f64) -> GeoEval {
-        eval_prepared_reference(&self.comps, self.center, px, py, false)
-    }
-
-    /// Value-only evaluation (trust-region trial points): no derivative
-    /// assembly, roughly 4× cheaper per pixel.
-    pub fn eval_value(&self, px: f64, py: f64) -> f64 {
-        eval_value_lanes(&self.lanes, self.center, px, py)
-    }
-
-    /// The portable (non-SIMD) kernel instantiation, bypassing the
-    /// runtime dispatch: parity hook for the scalar-vs-SIMD property
-    /// tests. Not a production entry point.
-    #[doc(hidden)]
-    pub fn eval_portable(&self, px: f64, py: f64) -> GeoEval {
-        eval_lanes_impl::<ScalarMadd>(&self.lanes, self.center, px, py, false)
-    }
-
-    /// Portable value-only instantiation (see [`Self::eval_portable`]).
-    #[doc(hidden)]
-    pub fn eval_value_portable(&self, px: f64, py: f64) -> f64 {
-        eval_value_lanes_impl::<ScalarMadd>(&self.lanes, self.center, px, py)
-    }
-
-    /// Chunk-route histogram the dispatched derivative kernel takes
-    /// at this pixel (diagnostics only; see [`RouteCounts`]).
-    pub fn route_counts(&self, px: f64, py: f64) -> RouteCounts {
-        route_counts_lanes(&self.lanes, self.center, px, py)
-    }
-}
-
-impl Default for PreparedGalaxy {
-    /// An empty appearance; fill with [`PreparedGalaxy::prepare`].
-    fn default() -> Self {
-        PreparedGalaxy {
-            comps: Vec::new(),
-            lanes: Lanes::default(),
-            center: [0.0; 2],
-        }
-    }
-}
-
-impl PreparedGalaxy {
-    /// Prepare a galaxy appearance for the current shape parameters at
-    /// culling tolerance zero.
-    pub fn new(
-        psf: &Psf,
-        geo: &GalaxyGeo,
-        center0: [f64; 2],
-        u_arcsec: [f64; 2],
-        jac: &[[f64; 2]; 2],
-    ) -> Self {
-        let mut out = PreparedGalaxy::default();
-        out.prepare(psf, geo, center0, u_arcsec, jac, 0.0);
-        out
-    }
-
-    /// Refill in place, reusing the component buffers' allocations
-    /// (the per-evaluation path of the zero-allocation hot loop).
-    /// `cull_tol` bounds the per-component, per-slot error of skipping
-    /// distant components; 0 disables culling beyond the hard cutoff.
-    pub fn prepare(
+    /// Refill in place as a galaxy (see [`Self::prepare_star`]).
+    pub fn prepare_galaxy(
         &mut self,
         psf: &Psf,
         geo: &GalaxyGeo,
@@ -822,7 +765,8 @@ impl PreparedGalaxy {
         jac: &[[f64; 2]; 2],
         cull_tol: f64,
     ) {
-        let center = apply_offset(center0, u_arcsec, jac);
+        self.center = apply_offset(center0, u_arcsec, jac);
+        self.shape = true;
         let fd = sigmoid(geo.fd_logit);
         let dfd = fd * (1.0 - fd);
         let d2fd = dfd * (1.0 - 2.0 * fd);
@@ -881,7 +825,6 @@ impl PreparedGalaxy {
             }
         }
         self.lanes.rebuild(&self.comps);
-        self.center = center;
     }
 
     /// Number of prepared mixture components (sizes the advertised
@@ -890,19 +833,25 @@ impl PreparedGalaxy {
         self.comps.len()
     }
 
-    /// Evaluate value/gradient/Hessian at a pixel center.
+    /// Evaluate value/gradient/Hessian at a pixel center: the
+    /// production derivative kernel.
     pub fn eval(&self, px: f64, py: f64) -> GeoEval {
-        eval_lanes(&self.lanes, self.center, px, py, true)
+        if self.shape {
+            walk_dispatched::<GeoSum<true>>(self, px, py)
+        } else {
+            walk_dispatched::<GeoSum<false>>(self, px, py)
+        }
     }
 
     /// The frozen pre-refactor kernel (parity/benchmark reference).
     pub fn eval_reference(&self, px: f64, py: f64) -> GeoEval {
-        eval_prepared_reference(&self.comps, self.center, px, py, true)
+        eval_prepared_reference(&self.comps, self.center, px, py, self.shape)
     }
 
-    /// Value-only evaluation (trust-region trial points).
+    /// Value-only evaluation (trust-region trial points): no derivative
+    /// assembly, roughly 4× cheaper per pixel.
     pub fn eval_value(&self, px: f64, py: f64) -> f64 {
-        eval_value_lanes(&self.lanes, self.center, px, py)
+        walk_dispatched::<ValueSum>(self, px, py)
     }
 
     /// The portable (non-SIMD) kernel instantiation, bypassing the
@@ -910,19 +859,23 @@ impl PreparedGalaxy {
     /// tests. Not a production entry point.
     #[doc(hidden)]
     pub fn eval_portable(&self, px: f64, py: f64) -> GeoEval {
-        eval_lanes_impl::<ScalarMadd>(&self.lanes, self.center, px, py, true)
+        if self.shape {
+            walk::<ScalarMadd, GeoSum<true>, false>(self, px, py)
+        } else {
+            walk::<ScalarMadd, GeoSum<false>, false>(self, px, py)
+        }
     }
 
     /// Portable value-only instantiation (see [`Self::eval_portable`]).
     #[doc(hidden)]
     pub fn eval_value_portable(&self, px: f64, py: f64) -> f64 {
-        eval_value_lanes_impl::<ScalarMadd>(&self.lanes, self.center, px, py)
+        walk::<ScalarMadd, ValueSum, false>(self, px, py)
     }
 
     /// Chunk-route histogram the dispatched derivative kernel takes
     /// at this pixel (diagnostics only; see [`RouteCounts`]).
     pub fn route_counts(&self, px: f64, py: f64) -> RouteCounts {
-        route_counts_lanes(&self.lanes, self.center, px, py)
+        walk_dispatched::<RouteCounts>(self, px, py)
     }
 }
 
@@ -933,11 +886,10 @@ fn apply_offset(center0: [f64; 2], u: [f64; 2], jac: &[[f64; 2]; 2]) -> [f64; 2]
     ]
 }
 
-/// Screening pass shared by the value and derivative kernels: compute
-/// the Mahalanobis quadratic forms for one fixed-width chunk of SoA
-/// lanes. The loop body is branch-free madds over a compile-time
-/// width, so it autovectorizes; lanes past `w` are left at +∞ and can
-/// never pass a screening cut.
+/// Screening pass of the [`walk`]: compute the Mahalanobis quadratic
+/// forms for one fixed-width chunk of SoA lanes. The loop body is
+/// branch-free madds over a compile-time width, so it autovectorizes;
+/// lanes past `w` are left at +∞ and can never pass a screening cut.
 #[inline(always)]
 fn chunk_qf<F: Fma>(
     lanes: &Lanes,
@@ -957,30 +909,7 @@ fn chunk_qf<F: Fma>(
     qf
 }
 
-/// Value-only per-pixel kernel: Σ w·N with no derivative assembly.
-/// Touches only the SoA lanes (never the derivative blocks).
-///
-/// Dispatches through the same process-global [`fused::fma_enabled`]
-/// decision as the derivative kernel, so the screening quadratic
-/// forms round identically in both paths and a component at its
-/// screening cut is culled in both or neither. (An earlier revision
-/// pinned this path to the portable instantiation while the
-/// derivative path dispatched hardware FMA; near `qf_cut` the two
-/// could then disagree on culling, making trust-region values and
-/// gradients mutually inconsistent.)
-fn eval_value_lanes(lanes: &Lanes, center: [f64; 2], px: f64, py: f64) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if fused::fma_enabled() {
-        // SAFETY: fma_enabled() verified avx2+fma at runtime.
-        return unsafe { eval_value_lanes_fma(lanes, center, px, py) };
-    }
-    eval_value_lanes_impl::<ScalarMadd>(lanes, center, px, py)
-}
-
-/// Routing decision for one screening chunk — the cull comparison
-/// and route selection shared *verbatim* by the value and derivative
-/// SIMD kernels, so the two can never again diverge on a culling
-/// decision (the dispatch-unification invariant in code form):
+/// Routing decision for one screening chunk of a batched [`walk`]:
 ///
 /// * [`ChunkRoute::Skip`] — no survivor; the chunk costs just its
 ///   quadratic forms (the far-wing common case);
@@ -995,17 +924,20 @@ fn eval_value_lanes(lanes: &Lanes, center: [f64; 2], px: f64, py: f64) -> f64 {
 ///   boundary-pixel recovery route);
 /// * [`ChunkRoute::Scalar`] — mixed survival too sparse for masking:
 ///   per-survivor scalar streaming.
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // payloads read by the SIMD kernels
+///
+/// A streaming walk reports its chunks as `Skip` or `Scalar`.
+#[derive(Debug, Clone, Copy)]
 enum ChunkRoute {
     Skip,
     BatchFull,
     BatchHalf,
-    Masked([bool; LANE]),
-    Scalar([bool; LANE]),
+    Masked,
+    Scalar,
 }
 
+/// Route one chunk; also returns its survivor mask (`qf ≤ qf_cut`).
 #[inline(always)]
-fn classify_chunk(qf: &[f64; LANE], cut: &[f64], w: usize) -> ChunkRoute {
+fn classify_chunk(qf: &[f64; LANE], cut: &[f64], w: usize) -> (ChunkRoute, [bool; LANE]) {
     let mut keep = [false; LANE];
     let (mut any, mut all) = (false, true);
     for j in 0..w {
@@ -1013,26 +945,24 @@ fn classify_chunk(qf: &[f64; LANE], cut: &[f64], w: usize) -> ChunkRoute {
         any |= keep[j];
         all &= keep[j];
     }
-    if !any {
-        return ChunkRoute::Skip;
-    }
-    if all && w == LANE {
-        return ChunkRoute::BatchFull;
-    }
-    if all && w == EXP_BATCH {
-        return ChunkRoute::BatchHalf;
-    }
-    // Mixed survival: masked-batchable iff some aligned 4-wide group
-    // that lies entirely within the lanes meets the break-even.
-    let mut off = 0;
-    while off + EXP_BATCH <= w {
-        let alive = keep[off..off + EXP_BATCH].iter().filter(|&&k| k).count();
-        if alive >= MASKED_BREAK_EVEN {
-            return ChunkRoute::Masked(keep);
-        }
-        off += EXP_BATCH;
-    }
-    ChunkRoute::Scalar(keep)
+    let route = if !any {
+        ChunkRoute::Skip
+    } else if all && w == LANE {
+        ChunkRoute::BatchFull
+    } else if all && w == EXP_BATCH {
+        ChunkRoute::BatchHalf
+    } else if keep[..w]
+        .chunks_exact(EXP_BATCH)
+        .any(|g| group_alive(g) >= MASKED_BREAK_EVEN)
+    {
+        // Mixed survival: masked-batchable iff some aligned 4-wide
+        // group that lies entirely within the lanes meets the
+        // break-even.
+        ChunkRoute::Masked
+    } else {
+        ChunkRoute::Scalar
+    };
+    (route, keep)
 }
 
 /// Masked 4-wide exponentials for one mixed-survival group: dead
@@ -1041,7 +971,6 @@ fn classify_chunk(qf: &[f64; LANE], cut: &[f64], w: usize) -> ChunkRoute {
 /// `2^k` scale would produce garbage), then their `e` is forced to
 /// exactly 0.0 so every downstream contribution vanishes.
 #[inline(always)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // only the SIMD paths batch
 fn exp4_masked<F: Fma>(qf: &[f64], keep: &[bool]) -> [f64; EXP_BATCH] {
     let mut x = [0.0; EXP_BATCH];
     for l in 0..EXP_BATCH {
@@ -1060,21 +989,19 @@ fn exp4_masked<F: Fma>(qf: &[f64], keep: &[bool]) -> [f64; EXP_BATCH] {
 
 /// Survivors in one aligned 4-wide group of a mixed chunk.
 #[inline(always)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
 fn group_alive(keep: &[bool]) -> usize {
     keep[..EXP_BATCH].iter().filter(|&&k| k).count()
 }
 
 /// Per-route chunk counts for one pixel evaluation — the screening
 /// router's diagnostic face, used by `bvn_probe` and the
-/// `chunk_routes` block of `BENCH_hotpath.json`. Counting is kept off
-/// the hot path (the production kernels carry no counters); instead
-/// this replays the routing the dispatched *derivative* kernel takes
-/// — the same `classify_chunk`, the same small-mixture early-out,
-/// the same process-global FMA decision — so a routing regression
-/// shows up here exactly as the kernel would experience it. (The
-/// value kernel differs only in its early-out width: it batches
-/// mixtures down to one exp-batch.)
+/// `chunk_routes` block of `BENCH_hotpath.json`. Tallied by the
+/// kernel's own walk, run with this type as its sink: the same
+/// `classify_chunk`, the same small-mixture cutoff as the derivative
+/// kernel, the same process-global FMA decision and instantiation —
+/// so a routing regression shows up here exactly as the derivative
+/// kernel experiences it. (The value kernel differs only in its
+/// cutoff: it batches mixtures down to one exp-batch.)
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct RouteCounts {
     /// Chunks with no survivor (cost: quadratic forms only).
@@ -1105,154 +1032,288 @@ impl RouteCounts {
     }
 }
 
-/// The screening quadratic forms under the dispatched madd strategy
-/// (outside any target-feature function `mul_add` is a libm call —
-/// fine for diagnostics, and it rounds identically to the kernel's
-/// hardware FMA).
-fn dispatched_chunk_qf(
-    lanes: &Lanes,
+/// One screening chunk, components `base..base + w`, with the lane
+/// arrays the sinks index per survivor sliced once per chunk (so the
+/// per-survivor loads carry no bounds checks).
+struct Chunk<'a> {
+    lanes: &'a Lanes,
     base: usize,
-    w: usize,
-    dxx: f64,
-    dxy2: f64,
-    dyy: f64,
-) -> [f64; LANE] {
-    #[cfg(target_arch = "x86_64")]
-    if fused::fma_enabled() {
-        return chunk_qf::<HwFma>(lanes, base, w, dxx, dxy2, dyy);
-    }
-    chunk_qf::<ScalarMadd>(lanes, base, w, dxx, dxy2, dyy)
+    wn: &'a [f64],
+    blocks: &'a [EvalBlock],
 }
 
-fn route_counts_lanes(lanes: &Lanes, center: [f64; 2], px: f64, py: f64) -> RouteCounts {
-    let mut counts = RouteCounts::default();
-    let n = lanes.len();
-    let (dx, dy) = (px - center[0], py - center[1]);
-    let (dxx, dxy2, dyy) = (dx * dx, 2.0 * dx * dy, dy * dy);
-    // Batch routes fire only in the SIMD derivative kernel past its
-    // small-mixture early-out; otherwise survivors stream scalar.
-    let batched = fused::fma_enabled() && n > LANE;
-    let mut base = 0;
-    while base < n {
-        let w = (n - base).min(LANE);
-        let qf = dispatched_chunk_qf(lanes, base, w, dxx, dxy2, dyy);
-        match classify_chunk(&qf, &lanes.qf_cut[base..base + w], w) {
-            ChunkRoute::Skip => counts.skip += 1,
-            ChunkRoute::BatchFull | ChunkRoute::BatchHalf if batched => counts.batch += 1,
-            ChunkRoute::Masked(_) if batched => counts.masked += 1,
-            _ => counts.scalar += 1,
-        }
-        base += LANE;
-    }
-    counts
+/// What a [`walk`] does with the components that survive screening.
+/// Survivors arrive one at a time (`one`, with their libm `exp`) or
+/// as four consecutive components (`four`, with [`exp4`] batch
+/// exponentials; masked-dead lanes carry `e = 0`).
+trait Sink: Sized {
+    type Out;
+    /// Under FMA dispatch, mixtures of at most this many components
+    /// stream their survivors instead of batching them.
+    const SMALL: usize;
+    fn start(dx: f64, dy: f64) -> Self;
+    /// Survivor in lane `j` of chunk `c`, with exponential `e`;
+    /// `BATCH` is the kind of walk streaming it.
+    fn one<F: Fma, const BATCH: bool>(&mut self, c: &Chunk, j: usize, e: f64);
+    /// Lanes `off..off + 4` of chunk `c`.
+    fn four<F: Fma>(&mut self, c: &Chunk, off: usize, e: &[f64; EXP_BATCH]);
+    /// The route the walk took for one chunk.
+    fn tally(&mut self, _route: ChunkRoute) {}
+    fn finish<const BATCH: bool>(self) -> Self::Out;
 }
 
-/// The vectorized value-path instantiation: no survivor compression,
-/// each 8-wide screening chunk routed by [`classify_chunk`].
-///
-/// # Safety
-/// Caller must have verified `avx2`+`fma` support at runtime (every
-/// call site gates on `fused::fma_enabled()`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn eval_value_lanes_fma(lanes: &Lanes, center: [f64; 2], px: f64, py: f64) -> f64 {
-    let n = lanes.len();
-    if n <= EXP_BATCH {
-        // Mixtures smaller than one exp batch (stars): the batch
-        // setup costs more than the libm exponentials it replaces.
-        // Same instantiation, so screening is unchanged.
-        return eval_value_lanes_impl::<HwFma>(lanes, center, px, py);
-    }
-    let (dx, dy) = (px - center[0], py - center[1]);
-    let (dxx, dxy2, dyy) = (dx * dx, 2.0 * dx * dy, dy * dy);
-    let mut total = [0.0; LANE];
-    let mut base = 0;
-    while base < n {
-        let w = (n - base).min(LANE);
-        let qf = chunk_qf::<HwFma>(lanes, base, w, dxx, dxy2, dyy);
-        match classify_chunk(&qf, &lanes.qf_cut[base..base + w], w) {
-            ChunkRoute::Skip => {}
-            ChunkRoute::BatchFull => {
-                let wn = &lanes.wn[base..base + LANE];
-                let e0 = exp4::<HwFma>([-0.5 * qf[0], -0.5 * qf[1], -0.5 * qf[2], -0.5 * qf[3]]);
-                let e1 = exp4::<HwFma>([-0.5 * qf[4], -0.5 * qf[5], -0.5 * qf[6], -0.5 * qf[7]]);
-                for j in 0..EXP_BATCH {
-                    total[j] = HwFma::madd(wn[j], e0[j], total[j]);
-                    total[EXP_BATCH + j] =
-                        HwFma::madd(wn[EXP_BATCH + j], e1[j], total[EXP_BATCH + j]);
-                }
-            }
-            ChunkRoute::BatchHalf => {
-                let wn = &lanes.wn[base..base + EXP_BATCH];
-                let e0 = exp4::<HwFma>([-0.5 * qf[0], -0.5 * qf[1], -0.5 * qf[2], -0.5 * qf[3]]);
-                for j in 0..EXP_BATCH {
-                    total[j] = HwFma::madd(wn[j], e0[j], total[j]);
-                }
-            }
-            ChunkRoute::Masked(keep) => {
-                let wn = &lanes.wn[base..base + w];
-                let mut off = 0;
-                while off + EXP_BATCH <= w {
-                    if group_alive(&keep[off..]) >= MASKED_BREAK_EVEN {
-                        let e = exp4_masked::<HwFma>(&qf[off..], &keep[off..]);
-                        for l in 0..EXP_BATCH {
-                            total[off + l] = HwFma::madd(wn[off + l], e[l], total[off + l]);
-                        }
-                    } else {
-                        for l in 0..EXP_BATCH {
-                            if keep[off + l] {
-                                total[off + l] = HwFma::madd(
-                                    wn[off + l],
-                                    (-0.5 * qf[off + l]).exp(),
-                                    total[off + l],
-                                );
-                            }
-                        }
-                    }
-                    off += EXP_BATCH;
-                }
-                for j in off..w {
-                    if keep[j] {
-                        total[j] = HwFma::madd(wn[j], (-0.5 * qf[j]).exp(), total[j]);
-                    }
-                }
-            }
-            ChunkRoute::Scalar(keep) => {
-                let wn = &lanes.wn[base..base + w];
-                for j in 0..w {
-                    if keep[j] {
-                        total[j] = HwFma::madd(wn[j], (-0.5 * qf[j]).exp(), total[j]);
-                    }
-                }
-            }
-        }
-        base += LANE;
-    }
-    let t0 = (total[0] + total[1]) + (total[2] + total[3]);
-    let t1 = (total[4] + total[5]) + (total[6] + total[7]);
-    t0 + t1
-}
-
+/// The one per-pixel walk behind every evaluation path — value,
+/// derivatives and route counts, dispatched and portable. Each
+/// fixed-width chunk is screened with [`chunk_qf`]; a streaming walk
+/// (`BATCH` off) then hands the survivors to the sink one by one in
+/// component order, while a batched walk routes the chunk with
+/// [`classify_chunk`]: fully-surviving chunks take their
+/// exponentials in [`exp4`] batches, mixed chunks batch each 4-wide
+/// group that meets [`MASKED_BREAK_EVEN`] (dead lanes masked to
+/// `e = 0` by [`exp4_masked`]) and stream the rest. The value and
+/// derivative kernels share this router verbatim, so (under one
+/// instantiation) they can never disagree on a culling decision.
 #[inline(always)]
-fn eval_value_lanes_impl<F: Fma>(lanes: &Lanes, center: [f64; 2], px: f64, py: f64) -> f64 {
-    let (dx, dy) = (px - center[0], py - center[1]);
+fn walk<F: Fma, S: Sink, const BATCH: bool>(a: &Appearance, px: f64, py: f64) -> S::Out {
+    let lanes = &a.lanes;
+    let (dx, dy) = (px - a.center[0], py - a.center[1]);
     let (dxx, dxy2, dyy) = (dx * dx, 2.0 * dx * dy, dy * dy);
+    let mut sink = S::start(dx, dy);
     let n = lanes.len();
-    let mut total = 0.0;
     let mut base = 0;
     while base < n {
         let w = (n - base).min(LANE);
         let qf = chunk_qf::<F>(lanes, base, w, dxx, dxy2, dyy);
         let cut = &lanes.qf_cut[base..base + w];
-        let wn = &lanes.wn[base..base + w];
-        for j in 0..w {
-            if qf[j] <= cut[j] {
-                total = F::madd(wn[j], (-0.5 * qf[j]).exp(), total);
+        let c = Chunk {
+            lanes,
+            base,
+            wn: &lanes.wn[base..base + w],
+            blocks: &lanes.blocks[base..base + w],
+        };
+        if !BATCH {
+            let mut any = false;
+            for j in 0..w {
+                if qf[j] <= cut[j] {
+                    any = true;
+                    sink.one::<F, BATCH>(&c, j, (-0.5 * qf[j]).exp());
+                }
+            }
+            sink.tally(if any {
+                ChunkRoute::Scalar
+            } else {
+                ChunkRoute::Skip
+            });
+            base += LANE;
+            continue;
+        }
+        let (route, keep) = classify_chunk(&qf, cut, w);
+        sink.tally(route);
+        match route {
+            ChunkRoute::Skip => {}
+            ChunkRoute::BatchFull => {
+                let e0 = exp4::<F>([-0.5 * qf[0], -0.5 * qf[1], -0.5 * qf[2], -0.5 * qf[3]]);
+                let e1 = exp4::<F>([-0.5 * qf[4], -0.5 * qf[5], -0.5 * qf[6], -0.5 * qf[7]]);
+                sink.four::<F>(&c, 0, &e0);
+                sink.four::<F>(&c, EXP_BATCH, &e1);
+            }
+            ChunkRoute::BatchHalf => {
+                // E.g. the 28-component galaxy mixture's tail.
+                let e0 = exp4::<F>([-0.5 * qf[0], -0.5 * qf[1], -0.5 * qf[2], -0.5 * qf[3]]);
+                sink.four::<F>(&c, 0, &e0);
+            }
+            // A scalar chunk is a mixed one in which no group meets
+            // the break-even, so both stream in the same lane order.
+            ChunkRoute::Masked | ChunkRoute::Scalar => {
+                let mut off = 0;
+                while off < w {
+                    let end = (off + EXP_BATCH).min(w);
+                    if end - off == EXP_BATCH && group_alive(&keep[off..]) >= MASKED_BREAK_EVEN {
+                        let e = exp4_masked::<F>(&qf[off..], &keep[off..]);
+                        sink.four::<F>(&c, off, &e);
+                    } else {
+                        for j in off..end {
+                            if keep[j] {
+                                sink.one::<F, BATCH>(&c, j, (-0.5 * qf[j]).exp());
+                            }
+                        }
+                    }
+                    off = end;
+                }
             }
         }
         base += LANE;
     }
-    total
+    sink.finish::<BATCH>()
+}
+
+/// Run [`walk`] under the process-global [`fused::fma_enabled`]
+/// decision — the only dispatch point of the kernel, shared by every
+/// sink, so the value and derivative paths round their screening
+/// quadratic forms identically. (An earlier revision pinned the value
+/// path to the portable instantiation while the derivative path
+/// dispatched hardware FMA; near `qf_cut` the two could then disagree
+/// on culling, making trust-region values and gradients mutually
+/// inconsistent.)
+fn walk_dispatched<S: Sink>(a: &Appearance, px: f64, py: f64) -> S::Out {
+    #[cfg(target_arch = "x86_64")]
+    if fused::fma_enabled() {
+        // SAFETY: fma_enabled() verified avx2+fma at runtime.
+        return unsafe { walk_fma::<S>(a, px, py) };
+    }
+    walk::<ScalarMadd, S, false>(a, px, py)
+}
+
+/// The `avx2,fma` instantiation: mixtures larger than the sink's
+/// [`Sink::SMALL`] cutoff take the batched walk, smaller ones stream
+/// (same `HwFma` madds, so screening rounds identically either way).
+///
+/// # Safety
+/// Caller must have verified `avx2`+`fma` support at runtime.
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn walk_fma<S: Sink>(a: &Appearance, px: f64, py: f64) -> S::Out {
+    if a.lanes.len() <= S::SMALL {
+        walk::<HwFma, S, false>(a, px, py)
+    } else {
+        walk::<HwFma, S, true>(a, px, py)
+    }
+}
+
+/// Value-only sink: Σ w·N with no derivative assembly, touching only
+/// the SoA lanes. A batched walk keeps one partial sum per chunk lane,
+/// reduced in a fixed order at the end; a streaming walk adds every
+/// survivor into lane 0 in component order.
+struct ValueSum([f64; LANE]);
+
+impl Sink for ValueSum {
+    type Out = f64;
+    /// Mixtures smaller than one exp batch (stars): the batch setup
+    /// costs more than the libm exponentials it replaces.
+    const SMALL: usize = EXP_BATCH;
+
+    #[inline(always)]
+    fn start(_dx: f64, _dy: f64) -> Self {
+        ValueSum([0.0; LANE])
+    }
+
+    #[inline(always)]
+    fn one<F: Fma, const BATCH: bool>(&mut self, c: &Chunk, j: usize, e: f64) {
+        let k = if BATCH { j } else { 0 };
+        self.0[k] = F::madd(c.wn[j], e, self.0[k]);
+    }
+
+    #[inline(always)]
+    fn four<F: Fma>(&mut self, c: &Chunk, off: usize, e: &[f64; EXP_BATCH]) {
+        // Slice before the lane loop: indexing `wn[off + l]` directly
+        // leaves bounds checks in it (~50% on the galaxy value path).
+        let wn = &c.wn[off..off + EXP_BATCH];
+        let sum = &mut self.0[off..off + EXP_BATCH];
+        for l in 0..EXP_BATCH {
+            sum[l] = F::madd(wn[l], e[l], sum[l]);
+        }
+    }
+
+    #[inline(always)]
+    fn finish<const BATCH: bool>(self) -> f64 {
+        let t = self.0;
+        if !BATCH {
+            return t[0];
+        }
+        let t0 = (t[0] + t[1]) + (t[2] + t[3]);
+        let t1 = (t[4] + t[5]) + (t[6] + t[7]);
+        t0 + t1
+    }
+}
+
+/// The production derivative sink. Slots: [u0, u1, fd, axis, angle,
+/// lr]. Streamed survivors assemble through [`eval_block`] into the
+/// scalar output; batches of four consecutive components through
+/// [`eval_block4`] — contiguous vector loads from the field-major
+/// [`EvalBlock`] transpose (`Lanes::soa`) and vertical SoA madds into
+/// the lane accumulators of [`GeoAcc4`], folded once per pixel (only
+/// a batched walk has any). The assembly exploits two structural
+/// facts the reference kernel leaves on the table: the lnN Hessian is
+/// symmetric (only the lower triangle is accumulated per component,
+/// mirrored once per pixel), and the fd-logit slot (2) carries no lnN
+/// derivative at all — it enters only through the mixing-weight
+/// terms — so the main accumulation skips its row and column.
+/// `SHAPE` is the appearance's `shape` flag, fixed at compile time so
+/// a star's walk carries no galaxy-slot accumulators.
+struct GeoSum<const SHAPE: bool> {
+    out: GeoEval,
+    acc: GeoAcc4,
+    dx: f64,
+    dy: f64,
+}
+
+impl<const SHAPE: bool> Sink for GeoSum<SHAPE> {
+    type Out = GeoEval;
+    /// Small mixtures (stars: a PSF's worth of components) cannot fill
+    /// SIMD batches; the batch/accumulator setup would cost more than
+    /// it saves (measured ~6× on the 2-component core+halo star).
+    const SMALL: usize = LANE;
+
+    #[inline(always)]
+    fn start(dx: f64, dy: f64) -> Self {
+        GeoSum {
+            out: GeoEval::zero(),
+            acc: GeoAcc4::zero(),
+            dx,
+            dy,
+        }
+    }
+
+    #[inline(always)]
+    fn one<F: Fma, const BATCH: bool>(&mut self, c: &Chunk, j: usize, e: f64) {
+        eval_block::<F>(&c.blocks[j], e, self.dx, self.dy, SHAPE, &mut self.out);
+    }
+
+    #[inline(always)]
+    fn four<F: Fma>(&mut self, c: &Chunk, off: usize, e: &[f64; EXP_BATCH]) {
+        let (dx, dy) = (self.dx, self.dy);
+        eval_block4::<F>(c.lanes, c.base + off, e, dx, dy, SHAPE, &mut self.acc);
+    }
+
+    #[inline(always)]
+    fn finish<const BATCH: bool>(mut self) -> GeoEval {
+        if BATCH {
+            self.acc.fold_into(&mut self.out);
+        }
+        // Mirror the accumulated lower triangle once per pixel.
+        for i in 0..GEO {
+            for j in 0..i {
+                self.out.hess[j][i] = self.out.hess[i][j];
+            }
+        }
+        self.out
+    }
+}
+
+impl Sink for RouteCounts {
+    type Out = RouteCounts;
+    const SMALL: usize = <GeoSum<true> as Sink>::SMALL;
+
+    fn start(_dx: f64, _dy: f64) -> Self {
+        RouteCounts::default()
+    }
+
+    fn one<F: Fma, const BATCH: bool>(&mut self, _: &Chunk, _: usize, _: f64) {}
+
+    fn four<F: Fma>(&mut self, _: &Chunk, _: usize, _: &[f64; EXP_BATCH]) {}
+
+    fn tally(&mut self, route: ChunkRoute) {
+        match route {
+            ChunkRoute::Skip => self.skip += 1,
+            ChunkRoute::BatchFull | ChunkRoute::BatchHalf => self.batch += 1,
+            ChunkRoute::Masked => self.masked += 1,
+            ChunkRoute::Scalar => self.scalar += 1,
+        }
+    }
+
+    fn finish<const BATCH: bool>(self) -> RouteCounts {
+        self
+    }
 }
 
 /// Polynomial `exp` over a 4-lane batch: `out[l] = e^{x[l]}`, valid
@@ -1268,7 +1329,6 @@ fn eval_value_lanes_impl<F: Fma>(lanes: &Lanes, center: [f64; 2], px: f64, py: f
 /// loops: inside an `avx2,fma` instantiation the whole batch
 /// compiles to vector rounds, FMAs, and one integer shift.
 #[inline(always)]
-#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))] // only the SIMD paths batch
 fn exp4<F: Fma>(x: [f64; EXP_BATCH]) -> [f64; EXP_BATCH] {
     // ln 2 split: hi has its low 32 mantissa bits zeroed, so k·LN2_HI
     // is exact for the |k| ≤ 73 this domain produces.
@@ -1314,163 +1374,6 @@ fn exp4<F: Fma>(x: [f64; EXP_BATCH]) -> [f64; EXP_BATCH] {
     out
 }
 
-/// The production per-pixel kernel. Slots: [u0, u1, fd, axis, angle, lr].
-///
-/// Runs in passes: the lane screening cull ([`screen_lanes`]) drops
-/// components outside their screening radius before any `exp` is
-/// taken, `exp` is batched over the survivors, and the derivative
-/// assembly streams the compact [`EvalBlock`]s. The assembly exploits
-/// two structural facts the reference kernel leaves on the table: the
-/// lnN Hessian is symmetric (only the lower triangle is accumulated
-/// per component, mirrored once per pixel), and the fd-logit slot (2)
-/// carries no lnN derivative at all — it enters only through the
-/// mixing-weight terms — so the main accumulation skips its row and
-/// column entirely.
-fn eval_lanes(lanes: &Lanes, center: [f64; 2], px: f64, py: f64, with_shape: bool) -> GeoEval {
-    #[cfg(target_arch = "x86_64")]
-    if fused::fma_enabled() {
-        // SAFETY: fma_enabled() verified avx2+fma at runtime.
-        return unsafe { eval_lanes_fma(lanes, center, px, py, with_shape) };
-    }
-    eval_lanes_impl::<ScalarMadd>(lanes, center, px, py, with_shape)
-}
-
-/// The vectorized derivative instantiation. Chunks route through the
-/// same [`classify_chunk`] as the value path: a fully-surviving
-/// 8-wide chunk takes its exponentials in two [`exp4`] batches and
-/// assembles two [`eval_block4`] groups — 4 *consecutive* components
-/// per output slot with contiguous vector loads from the field-major
-/// [`EvalBlock`] transpose (`Lanes::soa`) and vertical SoA madds
-/// into lane accumulators ([`GeoAcc4`]), reduced once per pixel.
-/// Partially-culled chunks route by survivor popcount: 4-wide groups
-/// with ≥ [`MASKED_BREAK_EVEN`] survivors run the same SoA batch with
-/// dead lanes masked to `e = 0` ([`exp4_masked`]), sparser groups
-/// stream their survivors through the scalar [`eval_block`] (same
-/// instantiation, so screening rounds identically everywhere).
-///
-/// # Safety
-/// Caller must have verified `avx2`+`fma` support at runtime (every
-/// call site gates on `fused::fma_enabled()`).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn eval_lanes_fma(
-    lanes: &Lanes,
-    center: [f64; 2],
-    px: f64,
-    py: f64,
-    with_shape: bool,
-) -> GeoEval {
-    let n = lanes.len();
-    if n <= LANE {
-        // Small mixtures (stars: a PSF's worth of components) cannot
-        // fill SIMD batches; the batch/accumulator setup would cost
-        // more than it saves (measured ~6× on the 2-component
-        // core+halo star). Stream them through the scalar assembly —
-        // same HwFma instantiation, so screening still rounds
-        // identically to every other path.
-        return eval_lanes_impl::<HwFma>(lanes, center, px, py, with_shape);
-    }
-    let mut out = GeoEval::zero();
-    let mut acc = GeoAcc4::zero();
-    let (dx, dy) = (px - center[0], py - center[1]);
-    let (dxx, dxy2, dyy) = (dx * dx, 2.0 * dx * dy, dy * dy);
-    let mut base = 0;
-    while base < n {
-        let w = (n - base).min(LANE);
-        let qf = chunk_qf::<HwFma>(lanes, base, w, dxx, dxy2, dyy);
-        match classify_chunk(&qf, &lanes.qf_cut[base..base + w], w) {
-            ChunkRoute::Skip => {}
-            ChunkRoute::BatchFull => {
-                let e0 = exp4::<HwFma>([-0.5 * qf[0], -0.5 * qf[1], -0.5 * qf[2], -0.5 * qf[3]]);
-                let e1 = exp4::<HwFma>([-0.5 * qf[4], -0.5 * qf[5], -0.5 * qf[6], -0.5 * qf[7]]);
-                eval_block4::<HwFma>(&lanes.soa, n, base, &e0, dx, dy, with_shape, &mut acc);
-                eval_block4::<HwFma>(
-                    &lanes.soa,
-                    n,
-                    base + EXP_BATCH,
-                    &e1,
-                    dx,
-                    dy,
-                    with_shape,
-                    &mut acc,
-                );
-            }
-            ChunkRoute::BatchHalf => {
-                // E.g. the 28-component galaxy mixture's tail.
-                let e0 = exp4::<HwFma>([-0.5 * qf[0], -0.5 * qf[1], -0.5 * qf[2], -0.5 * qf[3]]);
-                eval_block4::<HwFma>(&lanes.soa, n, base, &e0, dx, dy, with_shape, &mut acc);
-            }
-            ChunkRoute::Masked(keep) => {
-                let mut off = 0;
-                while off + EXP_BATCH <= w {
-                    if group_alive(&keep[off..]) >= MASKED_BREAK_EVEN {
-                        let e = exp4_masked::<HwFma>(&qf[off..], &keep[off..]);
-                        eval_block4::<HwFma>(
-                            &lanes.soa,
-                            n,
-                            base + off,
-                            &e,
-                            dx,
-                            dy,
-                            with_shape,
-                            &mut acc,
-                        );
-                    } else {
-                        for l in 0..EXP_BATCH {
-                            if keep[off + l] {
-                                eval_block::<HwFma>(
-                                    &lanes.blocks[base + off + l],
-                                    (-0.5 * qf[off + l]).exp(),
-                                    dx,
-                                    dy,
-                                    with_shape,
-                                    &mut out,
-                                );
-                            }
-                        }
-                    }
-                    off += EXP_BATCH;
-                }
-                for j in off..w {
-                    if keep[j] {
-                        eval_block::<HwFma>(
-                            &lanes.blocks[base + j],
-                            (-0.5 * qf[j]).exp(),
-                            dx,
-                            dy,
-                            with_shape,
-                            &mut out,
-                        );
-                    }
-                }
-            }
-            ChunkRoute::Scalar(keep) => {
-                for j in 0..w {
-                    if keep[j] {
-                        eval_block::<HwFma>(
-                            &lanes.blocks[base + j],
-                            (-0.5 * qf[j]).exp(),
-                            dx,
-                            dy,
-                            with_shape,
-                            &mut out,
-                        );
-                    }
-                }
-            }
-        }
-        base += LANE;
-    }
-    acc.fold_into(&mut out);
-    // Mirror the accumulated lower triangle once per pixel.
-    for i in 0..GEO {
-        for j in 0..i {
-            out.hess[j][i] = out.hess[i][j];
-        }
-    }
-    out
-}
-
 /// Length of the packed lower triangle of the 6×6 geometry Hessian.
 const GEO_PACKED: usize = GEO * (GEO + 1) / 2;
 
@@ -1480,7 +1383,6 @@ const GEO_PACKED: usize = GEO * (GEO + 1) / 2;
 /// [`eval_block4`] accumulates with purely vertical madds — no
 /// horizontal reduction until [`GeoAcc4::fold_into`] runs once per
 /// pixel.
-#[cfg(target_arch = "x86_64")]
 struct GeoAcc4 {
     val: [f64; EXP_BATCH],
     grad: [[f64; EXP_BATCH]; GEO],
@@ -1489,7 +1391,6 @@ struct GeoAcc4 {
     hess: [[f64; EXP_BATCH]; GEO_PACKED],
 }
 
-#[cfg(target_arch = "x86_64")]
 impl GeoAcc4 {
     #[inline(always)]
     fn zero() -> GeoAcc4 {
@@ -1518,7 +1419,6 @@ impl GeoAcc4 {
 /// Load one field's batch: the four consecutive lanes `g..g+4` of
 /// field `f` in the [`EvalBlock`] transpose — a single unaligned
 /// vector load in the SIMD instantiation.
-#[cfg(target_arch = "x86_64")]
 #[inline(always)]
 fn ld4(soa: &[f64], n: usize, f: usize, g: usize) -> [f64; EXP_BATCH] {
     let base = f * n + g;
@@ -1535,12 +1435,9 @@ fn ld4(soa: &[f64], n: usize, f: usize, g: usize) -> [f64; EXP_BATCH] {
 /// vertical madd per lane, and nothing is reduced horizontally (see
 /// [`GeoAcc4`]). The math is [`eval_block`]'s, transposed to
 /// struct-of-arrays.
-#[cfg(target_arch = "x86_64")]
 #[inline(always)]
-#[allow(clippy::too_many_arguments)] // internal hot-path plumbing
 fn eval_block4<F: Fma>(
-    soa: &[f64],
-    n: usize,
+    lanes: &Lanes,
     g: usize,
     e: &[f64; EXP_BATCH],
     dx: f64,
@@ -1548,6 +1445,7 @@ fn eval_block4<F: Fma>(
     with_shape: bool,
     acc: &mut GeoAcc4,
 ) {
+    let (soa, n) = (lanes.soa.as_slice(), lanes.len());
     let m0 = ld4(soa, n, F_M, g);
     let m1 = ld4(soa, n, F_M + 1, g);
     let m2 = ld4(soa, n, F_M + 2, g);
@@ -1664,41 +1562,6 @@ fn eval_block4<F: Fma>(
     }
 }
 
-#[inline(always)]
-fn eval_lanes_impl<F: Fma>(
-    lanes: &Lanes,
-    center: [f64; 2],
-    px: f64,
-    py: f64,
-    with_shape: bool,
-) -> GeoEval {
-    let mut out = GeoEval::zero();
-    let (dx, dy) = (px - center[0], py - center[1]);
-    let (dxx, dxy2, dyy) = (dx * dx, 2.0 * dx * dy, dy * dy);
-    let n = lanes.len();
-    let mut base = 0;
-    while base < n {
-        let w = (n - base).min(LANE);
-        let qf = chunk_qf::<F>(lanes, base, w, dxx, dxy2, dyy);
-        let cut = &lanes.qf_cut[base..base + w];
-        for j in 0..w {
-            if qf[j] > cut[j] {
-                continue;
-            }
-            let e = (-0.5 * qf[j]).exp();
-            eval_block::<F>(&lanes.blocks[base + j], e, dx, dy, with_shape, &mut out);
-        }
-        base += LANE;
-    }
-    // Mirror the accumulated lower triangle once per pixel.
-    for i in 0..GEO {
-        for j in 0..i {
-            out.hess[j][i] = out.hess[i][j];
-        }
-    }
-    out
-}
-
 /// Derivative assembly for one surviving component (`e` is its
 /// normalized exponential). Accumulates the lower triangle only; the
 /// caller mirrors once per pixel. Force-inlined so the accumulator
@@ -1780,9 +1643,9 @@ fn eval_block<F: Fma>(
 }
 
 /// The pre-refactor per-pixel kernel, frozen verbatim as the parity
-/// and benchmark reference for the culled, lane-batched
-/// [`eval_lanes`]. Reached through [`PreparedStar::eval_reference`] /
-/// [`PreparedGalaxy::eval_reference`]; not for production use.
+/// and benchmark reference for the culled, lane-batched derivative
+/// walk. Reached through [`Appearance::eval_reference`]; not for
+/// production use.
 fn eval_prepared_reference(
     comps: &[PreparedComp],
     center: [f64; 2],
@@ -1873,11 +1736,12 @@ fn eval_prepared_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use celeste_survey::psf::PsfComponent;
 
     const JAC: [[f64; 2]; 2] = [[0.7, 0.05], [-0.03, 0.71]]; // px per arcsec
 
     fn fd_eval_star(u: [f64; 2], px: f64, py: f64) -> f64 {
-        PreparedStar::new(&Psf::core_halo(1.3), [10.0, 12.0], u, &JAC)
+        Appearance::star(&Psf::core_halo(1.3), [10.0, 12.0], u, &JAC)
             .eval(px, py)
             .val
     }
@@ -1892,7 +1756,7 @@ mod tests {
     }
 
     fn fd_eval_gal(g6: [f64; 6], px: f64, py: f64) -> f64 {
-        PreparedGalaxy::new(
+        Appearance::galaxy(
             &Psf::core_halo(1.3),
             &geo(g6[2], g6[3], g6[4], g6[5]),
             [10.0, 12.0],
@@ -1906,7 +1770,7 @@ mod tests {
     #[test]
     fn star_matches_survey_gmm() {
         let psf = Psf::core_halo(1.3);
-        let prep = PreparedStar::new(&psf, [10.0, 12.0], [0.0, 0.0], &JAC);
+        let prep = Appearance::star(&psf, [10.0, 12.0], [0.0, 0.0], &JAC);
         let gmm = psf.to_gmm().shifted(10.0, 12.0);
         for &(x, y) in &[(10.0, 12.0), (11.5, 12.5), (8.0, 14.0)] {
             let a = prep.eval(x, y).val;
@@ -1920,7 +1784,7 @@ mod tests {
         let h = 1e-5;
         let (px, py) = (11.3, 12.9);
         let e =
-            PreparedStar::new(&Psf::core_halo(1.3), [10.0, 12.0], [0.2, -0.1], &JAC).eval(px, py);
+            Appearance::star(&Psf::core_halo(1.3), [10.0, 12.0], [0.2, -0.1], &JAC).eval(px, py);
         for k in 0..2 {
             let mut up = [0.2, -0.1];
             let mut um = up;
@@ -1942,11 +1806,11 @@ mod tests {
         let (px, py) = (11.3, 12.9);
         let u0 = [0.2, -0.1];
         let grad_at = |u: [f64; 2]| {
-            PreparedStar::new(&Psf::core_halo(1.3), [10.0, 12.0], u, &JAC)
+            Appearance::star(&Psf::core_halo(1.3), [10.0, 12.0], u, &JAC)
                 .eval(px, py)
                 .grad
         };
-        let e = PreparedStar::new(&Psf::core_halo(1.3), [10.0, 12.0], u0, &JAC).eval(px, py);
+        let e = Appearance::star(&Psf::core_halo(1.3), [10.0, 12.0], u0, &JAC).eval(px, py);
         for k in 0..2 {
             let mut up = u0;
             let mut um = u0;
@@ -1971,7 +1835,7 @@ mod tests {
         let h = 1e-5;
         let (px, py) = (12.0, 13.5);
         let base = [0.1, -0.2, 0.3, 0.5, 0.8, 0.4];
-        let prep = PreparedGalaxy::new(
+        let prep = Appearance::galaxy(
             &Psf::core_halo(1.3),
             &geo(base[2], base[3], base[4], base[5]),
             [10.0, 12.0],
@@ -2000,7 +1864,7 @@ mod tests {
         let (px, py) = (12.0, 13.5);
         let base = [0.1, -0.2, 0.3, 0.5, 0.8, 0.4];
         let grad_at = |g6: [f64; 6]| {
-            PreparedGalaxy::new(
+            Appearance::galaxy(
                 &Psf::core_halo(1.3),
                 &geo(g6[2], g6[3], g6[4], g6[5]),
                 [10.0, 12.0],
@@ -2010,7 +1874,7 @@ mod tests {
             .eval(px, py)
             .grad
         };
-        let e = PreparedGalaxy::new(
+        let e = Appearance::galaxy(
             &Psf::core_halo(1.3),
             &geo(base[2], base[3], base[4], base[5]),
             [10.0, 12.0],
@@ -2041,7 +1905,7 @@ mod tests {
     #[test]
     fn galaxy_flux_integrates_to_one() {
         // Sum over a wide pixel grid ≈ total flux = 1 (unit-flux G).
-        let prep = PreparedGalaxy::new(
+        let prep = Appearance::galaxy(
             &Psf::single(1.2),
             &geo(0.0, 0.8, 0.3, 0.0), // r_e = 1 arcsec ≈ 0.7 px here
             [40.0, 40.0],
@@ -2102,7 +1966,7 @@ mod tests {
     #[test]
     fn culled_star_eval_matches_reference_exactly_at_zero_tol() {
         let psf = Psf::core_halo(1.3);
-        let prep = PreparedStar::new(&psf, [10.0, 12.0], [0.1, -0.2], &JAC);
+        let prep = Appearance::star(&psf, [10.0, 12.0], [0.1, -0.2], &JAC);
         for &(x, y) in &[(10.5, 12.5), (14.0, 9.0), (30.0, 30.0)] {
             let a = prep.eval(x, y);
             let b = prep.eval_reference(x, y);
@@ -2149,9 +2013,10 @@ mod tests {
     }
 
     /// Regression test for the value/derivative dispatch mismatch:
-    /// `eval_value_lanes` was pinned to the portable madds while
-    /// `eval_lanes` dispatched hardware FMA, so on AVX2 machines the
-    /// two paths rounded the screening quadratic form differently —
+    /// the value kernel was once pinned to the portable madds while
+    /// the derivative kernel dispatched hardware FMA, so on AVX2
+    /// machines the two paths rounded the screening quadratic form
+    /// differently —
     /// a component sitting exactly at its screening radius could be
     /// culled in the value path but kept in the derivative path (or
     /// vice versa), making trust-region values and gradients
@@ -2162,7 +2027,7 @@ mod tests {
         // Single-component star: culled ⇔ the evaluation is exactly
         // zero, so zero-ness of each path exposes its decision.
         let psf = Psf::single(1.1);
-        let mut prep = PreparedStar::new(&psf, [0.0, 0.0], [0.0, 0.0], &JAC);
+        let mut prep = Appearance::star(&psf, [0.0, 0.0], [0.0, 0.0], &JAC);
         assert_eq!(prep.n_comps(), 1);
 
         // Place the component *exactly* at its screening radius for a
@@ -2203,7 +2068,7 @@ mod tests {
 
     #[test]
     fn hessian_is_symmetric() {
-        let prep = PreparedGalaxy::new(
+        let prep = Appearance::galaxy(
             &Psf::core_halo(1.1),
             &geo(-0.4, 0.9, 1.2, 0.6),
             [10.0, 12.0],
@@ -2234,6 +2099,71 @@ mod tests {
                 -1.0
             };
         }
+    }
+
+    /// The route tally is what the dispatched derivative walk does:
+    /// on the 28-component galaxy (chunks 0..8, 8..16, 16..24 and the
+    /// half chunk 24..28), every chunk forced to the same survivor
+    /// pattern and evaluated at the centre, so every kept lane is
+    /// inside its cut.
+    #[test]
+    fn route_counts_tally_the_walk_taken() {
+        let psf = Psf::core_halo(1.25);
+        let (c0, u) = ([10.0, 12.0], [0.1, -0.05]);
+        let mut gal = Appearance::galaxy(&psf, &geo(0.3, 0.6, 0.9, 0.2), c0, u, &JAC);
+        assert_eq!(gal.n_comps(), 28);
+        let [cx, cy] = gal.center;
+        let tally = |skip, batch, masked, scalar| RouteCounts {
+            skip,
+            batch,
+            masked,
+            scalar,
+        };
+        // (pattern of every chunk, tally of the batched walk)
+        for (alive, batched) in [
+            (0b1111_1111, tally(0, 4, 0, 0)), // all alive: 3 full + 1 half batch
+            (0b0000_0011, tally(0, 0, 4, 0)), // two live lanes in one group
+            (0b0001_0001, tally(0, 0, 0, 4)), // one live lane per group
+            (0b0000_0000, tally(4, 0, 0, 0)),
+        ] {
+            for chunk in gal.lanes.qf_cut.chunks_mut(LANE) {
+                force_pattern(chunk, alive);
+            }
+            // A streaming walk streams every chunk with a survivor.
+            let streamed = if alive == 0 {
+                batched
+            } else {
+                tally(0, 0, 0, 4)
+            };
+            let portable = walk::<ScalarMadd, RouteCounts, false>(&gal, cx, cy);
+            assert_eq!(portable, streamed, "portable, pattern {alive:#010b}");
+            let want = if fused::fma_enabled() {
+                batched
+            } else {
+                streamed
+            };
+            assert_eq!(gal.route_counts(cx, cy), want, "pattern {alive:#010b}");
+        }
+        // The 2-component star streams under every dispatch.
+        let star = Appearance::star(&psf, c0, u, &JAC);
+        assert_eq!(star.n_comps(), 2);
+        let [sx, sy] = star.center;
+        assert_eq!(star.route_counts(sx, sy), tally(0, 0, 0, 1));
+        for i in 0..40 {
+            let c = star.route_counts(sx + 0.3 * i as f64, sy - 0.2 * i as f64);
+            assert_eq!((c.batch, c.masked), (0, 0), "star batched at step {i}");
+        }
+        // Eight components fill a chunk but do not pass the derivative
+        // walk's cutoff, so they stream (the value walk batches them).
+        let components = (0..LANE)
+            .map(|i| PsfComponent {
+                weight: 0.125,
+                sigma_px: 1.0 + 0.3 * i as f64,
+            })
+            .collect();
+        let star8 = Appearance::star(&Psf { components }, c0, u, &JAC);
+        let [sx, sy] = star8.center;
+        assert_eq!(star8.route_counts(sx, sy), tally(0, 0, 0, 1));
     }
 
     fn assert_geo_parity(a: &GeoEval, b: &GeoEval, what: &str) {
@@ -2274,7 +2204,7 @@ mod tests {
             lr in -0.5..0.7f64,
         ) {
             let prep_geo = geo(fd, 0.6, 0.9, lr);
-            let mut prep = PreparedGalaxy::new(
+            let mut prep = Appearance::galaxy(
                 &Psf::core_halo(1.25),
                 &prep_geo,
                 [10.0, 12.0],

@@ -5,7 +5,7 @@
 //! `likelihood.rs` so the kernel file stays allocation-free (enforced
 //! by `celeste_lint`); never call this on a hot path.
 
-use crate::bvn::{PreparedGalaxy, PreparedStar, GEO};
+use crate::bvn::{Appearance, GEO};
 use crate::fluxdist::{flux_moments, type_weight, NF};
 use crate::likelihood::{cf, galaxy_geo, lik_param_ids, ImageBlock, CA, CG, NL, RATE_FLOOR};
 use crate::params::{ids, NUM_PARAMS};
@@ -30,8 +30,8 @@ pub fn add_likelihood_dense(
     let w = [type_weight(params, 0), type_weight(params, 1)];
 
     for block in blocks {
-        let star = PreparedStar::new(&block.psf, block.center0, u, &block.jac);
-        let gal = PreparedGalaxy::new(
+        let star = Appearance::star(&block.psf, block.center0, u, &block.jac);
+        let gal = Appearance::galaxy(
             &block.psf,
             &galaxy_geo(params),
             block.center0,

@@ -30,7 +30,7 @@
 
 pub use crate::dense::add_likelihood_dense;
 
-use crate::bvn::{GalaxyGeo, GeoEval, PreparedGalaxy, PreparedStar, GEO};
+use crate::bvn::{Appearance, GalaxyGeo, GeoEval, GEO};
 use crate::fluxdist::{flux_moments, flux_param_ids, type_weight, FluxMoment, TypeWeight, NF};
 use crate::params::{ids, NUM_PARAMS};
 use celeste_linalg::fused::{self, axpy2, axpy2_tile, Madd, ScalarMadd};
@@ -151,8 +151,8 @@ pub fn galaxy_geo(params: &[f64; NUM_PARAMS]) -> GalaxyGeo {
 /// evaluations). Owned by the evaluation workspace.
 #[derive(Default)]
 pub struct LikScratch {
-    star: PreparedStar,
-    gal: PreparedGalaxy,
+    star: Appearance,
+    gal: Appearance,
 }
 
 /// Evaluate the likelihood part of the ELBO with gradient and Hessian
@@ -189,8 +189,8 @@ pub fn add_likelihood_into(
     for block in blocks {
         scratch
             .star
-            .prepare(&block.psf, block.center0, u, &block.jac, cull_tol);
-        scratch.gal.prepare(
+            .prepare_star(&block.psf, block.center0, u, &block.jac, cull_tol);
+        scratch.gal.prepare_galaxy(
             &block.psf,
             &geo_params,
             block.center0,
@@ -734,8 +734,8 @@ pub fn likelihood_value_into(
     for block in blocks {
         scratch
             .star
-            .prepare(&block.psf, block.center0, u, &block.jac, cull_tol);
-        scratch.gal.prepare(
+            .prepare_star(&block.psf, block.center0, u, &block.jac, cull_tol);
+        scratch.gal.prepare_galaxy(
             &block.psf,
             &geo_params,
             block.center0,
@@ -1030,13 +1030,14 @@ mod tests {
         assert!(good > worse, "good {good} vs worse {worse}");
     }
 
+    /// On the per-thread count, which concurrent tests cannot bump.
     #[test]
     fn visits_counter_increments() {
         let p = test_params();
         let blocks = vec![test_block()];
-        crate::flops::reset_visits();
+        crate::flops::reset_thread_visits();
         likelihood_value(&p, &blocks);
-        assert_eq!(crate::flops::visits(), 81);
+        assert_eq!(crate::flops::thread_visits(), 81);
     }
 
     /// A block with exactly `n` active pixels clustered around the

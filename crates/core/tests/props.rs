@@ -2,7 +2,7 @@
 //! must agree with the AD-instantiated generic ELBO at *random* points
 //! in parameter space, not just at the fixed points the unit tests use.
 
-use celeste_core::bvn::{GalaxyGeo, GeoEval, PreparedGalaxy, PreparedStar, GEO};
+use celeste_core::bvn::{Appearance, GalaxyGeo, GeoEval, GEO};
 use celeste_core::generic;
 use celeste_core::kl::{add_kl, kl_value, ModelPriors};
 use celeste_core::likelihood::{add_likelihood, likelihood_value, ActivePixel, ImageBlock};
@@ -121,9 +121,9 @@ proptest! {
         let psf = Psf::core_halo(1.25);
         let center0 = [20.0, 22.0];
         let tol = 10f64.powf(-tol_exp);
-        let exact = PreparedGalaxy::new(&psf, &geo, center0, [u.0, u.1], &PROP_JAC);
-        let mut culled = PreparedGalaxy::default();
-        culled.prepare(&psf, &geo, center0, [u.0, u.1], &PROP_JAC, tol);
+        let exact = Appearance::galaxy(&psf, &geo, center0, [u.0, u.1], &PROP_JAC);
+        let mut culled = Appearance::default();
+        culled.prepare_galaxy(&psf, &geo, center0, [u.0, u.1], &PROP_JAC, tol);
 
         let (px, py) = (center0[0] + off.0, center0[1] + off.1);
         let reference = exact.eval_reference(px, py);
@@ -152,9 +152,9 @@ proptest! {
         let psf = Psf::core_halo(seeing);
         let center0 = [15.0, 16.0];
         let tol = 10f64.powf(-tol_exp);
-        let exact = PreparedStar::new(&psf, center0, [u.0, u.1], &PROP_JAC);
-        let mut culled = PreparedStar::default();
-        culled.prepare(&psf, center0, [u.0, u.1], &PROP_JAC, tol);
+        let exact = Appearance::star(&psf, center0, [u.0, u.1], &PROP_JAC);
+        let mut culled = Appearance::default();
+        culled.prepare_star(&psf, center0, [u.0, u.1], &PROP_JAC, tol);
 
         let (px, py) = (center0[0] + off.0, center0[1] + off.1);
         let reference = exact.eval_reference(px, py);
@@ -185,7 +185,7 @@ proptest! {
         let psf = uniform_psf(n_psf);
         let geo = GalaxyGeo { fd_logit: fd, axis_logit: axis, angle, ln_radius: lr };
         let center0 = [50.0, 52.0];
-        let exact = PreparedGalaxy::new(&psf, &geo, center0, [u.0, u.1], &PROP_JAC);
+        let exact = Appearance::galaxy(&psf, &geo, center0, [u.0, u.1], &PROP_JAC);
         let (px, py) = (center0[0] + off.0, center0[1] + off.1);
 
         // Zero tolerance: both instantiations meet the 1e-12 parity
@@ -214,8 +214,8 @@ proptest! {
         // agree with each other to ulps (same screening decisions:
         // one shared dispatch).
         let tol = 10f64.powf(-tol_exp);
-        let mut culled = PreparedGalaxy::default();
-        culled.prepare(&psf, &geo, center0, [u.0, u.1], &PROP_JAC, tol);
+        let mut culled = Appearance::default();
+        culled.prepare_galaxy(&psf, &geo, center0, [u.0, u.1], &PROP_JAC, tol);
         assert_geo_close(
             &culled.eval(px, py),
             &culled.eval_portable(px, py),
@@ -237,7 +237,7 @@ proptest! {
         // assertion is that they agree with ScalarMadd to ulps).
         let psf = uniform_psf(n_psf);
         let center0 = [40.0, 41.0];
-        let exact = PreparedStar::new(&psf, center0, [u.0, u.1], &PROP_JAC);
+        let exact = Appearance::star(&psf, center0, [u.0, u.1], &PROP_JAC);
         let (px, py) = (center0[0] + off.0, center0[1] + off.1);
         let reference = exact.eval_reference(px, py);
         let simd = exact.eval(px, py);

@@ -99,15 +99,6 @@ pub enum CampaignError {
         /// The underlying store error.
         source: IoError,
     },
-    /// A node's blocking image fetch failed mid-campaign. Retained
-    /// for API stability: since the resilience layer, load failures
-    /// are retried and surface as quarantined regions instead.
-    ImageLoad {
-        /// The (field, band) that failed to load.
-        key: ImageKey,
-        /// The underlying store error.
-        source: IoError,
-    },
     /// Writing the fitted output catalog failed.
     Output(IoError),
     /// Reading the resume checkpoint or writing a periodic
@@ -122,9 +113,6 @@ impl std::fmt::Display for CampaignError {
             CampaignError::Staging { key, source } => {
                 write!(f, "staging image {:?}/{} failed: {source}", key.0, key.1)
             }
-            CampaignError::ImageLoad { key, source } => {
-                write!(f, "loading image {:?}/{} failed: {source}", key.0, key.1)
-            }
             CampaignError::Output(source) => write!(f, "writing output catalog failed: {source}"),
             CampaignError::Checkpoint(source) => write!(f, "campaign checkpoint failed: {source}"),
         }
@@ -135,9 +123,7 @@ impl std::error::Error for CampaignError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             CampaignError::InvalidPlan(_) => None,
-            CampaignError::Staging { source, .. }
-            | CampaignError::ImageLoad { source, .. }
-            | CampaignError::Output(source) => Some(source),
+            CampaignError::Staging { source, .. } | CampaignError::Output(source) => Some(source),
             CampaignError::Checkpoint(source) => Some(source),
         }
     }
