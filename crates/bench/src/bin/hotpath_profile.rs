@@ -19,7 +19,11 @@
 //!   `CELESTE_THREADS` (default: available cores), plus their ratio.
 //!   The scaling gate (≥ 2× at N threads) is enforced only when the
 //!   machine actually has ≥ 4 cores — a 1-core container can only
-//!   ever measure 1.0× and 2–3 cores cannot reach 2× after overhead.
+//!   ever measure 1.0× and 2–3 cores cannot reach 2× after overhead;
+//! * the two executor overheads behind `celeste_par::iter`'s
+//!   sequential cutoff, on a 2-thread pool: a worker-side `join` of
+//!   two no-ops (the per-split cost) and an `install` from an external
+//!   thread (the once-per-driver-call handoff).
 //!
 //! The emitted JSON records `kernel_dispatch` (`fma`/`scalar`, from
 //! [`celeste_linalg::fused::kernel_isa`]) so committed numbers from
@@ -216,6 +220,17 @@ fn main() {
     };
     let region_scaling = region_nt / region_1t;
 
+    // Executor overheads. The join pair is timed from inside the pool,
+    // so it is the worker-side fork (stack job push, popped back
+    // unstolen) without the install that gets there.
+    let pool = celeste_par::ThreadPool::new(2);
+    let install_s = time_per_call(2_000, 9, || pool.install(|| black_box(1u64)));
+    let join_s = pool.install(|| {
+        time_per_call(100_000, 9, || {
+            celeste_par::join(|| black_box(1u64), || black_box(2u64))
+        })
+    });
+
     let ns = 1e9;
     let px = pixels as f64;
     let value_ns_px = value_s * ns / px;
@@ -255,13 +270,15 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"hotpath\",\n  \"scene\": \"stripe82 brightest source, 5 bands\",\n  \"kernel_dispatch\": \"{kernel_dispatch}\",\n  \"active_pixels\": {pixels},\n  \"value_ns_per_pixel\": {value_ns_px:.2},\n  \"deriv_dense_ns_per_pixel\": {dense_ns_px:.2},\n  \"deriv_packed_ns_per_pixel\": {packed_ns_px:.2},\n  \"deriv_speedup_vs_dense\": {speedup:.3},\n  \"deriv_over_value_ratio\": {new_ratio:.3},\n  \"chunk_routes\": {{ \"skip\": {}, \"batch\": {}, \"masked\": {}, \"scalar\": {} }},\n  \"fit_single_source_ms\": {:.3},\n  \"fits_per_sec\": {:.2},\n  \"workspace_builds_per_fit\": {ws_builds_per_fit:.3},\n  \"region_threads\": {region_threads},\n  \"region_fits_per_sec_1t\": {region_1t:.2},\n  \"region_fits_per_sec_nt\": {region_nt:.2},\n  \"region_scaling\": {region_scaling:.3}\n}}\n",
+        "{{\n  \"bench\": \"hotpath\",\n  \"scene\": \"stripe82 brightest source, 5 bands\",\n  \"kernel_dispatch\": \"{kernel_dispatch}\",\n  \"active_pixels\": {pixels},\n  \"value_ns_per_pixel\": {value_ns_px:.2},\n  \"deriv_dense_ns_per_pixel\": {dense_ns_px:.2},\n  \"deriv_packed_ns_per_pixel\": {packed_ns_px:.2},\n  \"deriv_speedup_vs_dense\": {speedup:.3},\n  \"deriv_over_value_ratio\": {new_ratio:.3},\n  \"chunk_routes\": {{ \"skip\": {}, \"batch\": {}, \"masked\": {}, \"scalar\": {} }},\n  \"fit_single_source_ms\": {:.3},\n  \"fits_per_sec\": {:.2},\n  \"workspace_builds_per_fit\": {ws_builds_per_fit:.3},\n  \"region_threads\": {region_threads},\n  \"region_fits_per_sec_1t\": {region_1t:.2},\n  \"region_fits_per_sec_nt\": {region_nt:.2},\n  \"region_scaling\": {region_scaling:.3},\n  \"par_join_pair_ns\": {:.1},\n  \"par_install_handoff_ns\": {:.1}\n}}\n",
         routes.skip,
         routes.batch,
         routes.masked,
         routes.scalar,
         fit_s * 1e3,
         1.0 / fit_s,
+        join_s * ns,
+        install_s * ns,
     );
     std::fs::write(&out_path, &json).expect("write BENCH_hotpath.json");
     println!("{json}");

@@ -314,13 +314,17 @@ pub fn run_calibration_campaign(seed: u64) -> CampaignReport {
     outcome.report
 }
 
-/// Count of Table II rows where `a` is strictly better (lower mean).
-pub fn rows_better(a: &TableII, b: &TableII) -> usize {
+/// Table II rows where `a` is strictly better (lower mean), out of the
+/// rows with samples on both sides: `(better, compared)`. A row empty
+/// on either side counts toward neither.
+pub fn rows_better(a: &TableII, b: &TableII) -> (usize, usize) {
     a.rows()
         .iter()
         .zip(b.rows())
-        .filter(|((_, ra), (_, rb))| ra.n > 0 && rb.n > 0 && ra.mean < rb.mean)
-        .count()
+        .filter(|((_, ra), (_, rb))| ra.n > 0 && rb.n > 0)
+        .fold((0, 0), |(better, compared), ((_, ra), (_, rb))| {
+            (better + usize::from(ra.mean < rb.mean), compared + 1)
+        })
 }
 
 #[cfg(test)]

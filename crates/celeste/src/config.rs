@@ -43,7 +43,7 @@ pub struct CelesteConfig {
     /// Lease/retry/backoff policy for campaign region tasks.
     pub retry: RetryPolicy,
     /// Deterministic fault injection for chaos testing. `None` (the
-    /// default) defers to the `CELESTE_FAULTS` environment variable.
+    /// default) injects none.
     pub faults: Option<FaultPlan>,
 }
 
@@ -134,7 +134,7 @@ impl CelesteBuilder {
     }
 
     /// Inject deterministic faults into campaigns (chaos testing).
-    /// Overrides the `CELESTE_FAULTS` environment variable.
+    /// Without this call a session injects none.
     pub fn faults(mut self, faults: FaultPlan) -> Self {
         self.faults = Some(faults);
         self

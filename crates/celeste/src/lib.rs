@@ -48,9 +48,9 @@
 //! completed regions durably and restarts from the file (a fresh run
 //! when there is none yet), refitting only unfinished regions, with a
 //! bit-identical final catalog.
-//! Deterministic fault injection ([`FaultPlan`], or the
-//! `CELESTE_FAULTS` environment variable) drives the chaos suite
-//! through these exact production paths.
+//! Deterministic fault injection ([`FaultPlan`], set only through
+//! [`CelesteBuilder::faults`]) drives the chaos suite through these
+//! exact production paths.
 //!
 //! # Catalog service
 //!

@@ -18,10 +18,11 @@
 //!
 //! ## Sequential cutoff
 //!
-//! Splitting costs one stack job push/pop (~0.2 µs on the reference
-//! container, and entering the pool from an external thread ~8 µs
-//! once per driver call — see
-//! `crates/bench/benches/par_overhead.rs`). Leaves are therefore kept
+//! Splitting costs one stack job push/pop (~0.5 µs per worker-side
+//! `join` pair on a 2-CPU container), and entering the pool from an
+//! external thread costs ~13 µs once per driver call; `hotpath_profile`
+//! in `celeste-bench` measures both (`par_join_pair_ns`,
+//! `par_install_handoff_ns`). Leaves are therefore kept
 //! coarse — [`SPLITS_PER_THREAD`] pieces per worker is enough slack
 //! for stealing to balance skewed loads — and a producer shorter than
 //! [`MIN_PARALLEL_LEN`] items, or any run on a one-thread pool, stays

@@ -32,10 +32,21 @@ impl ErrorRow {
     }
 
     /// Whether this row beats `other` by more than two (pooled)
-    /// standard errors — the paper's boldface criterion.
+    /// standard errors — the paper's boldface criterion. A row with no
+    /// samples on either side is never better.
     pub fn significantly_better_than(&self, other: &ErrorRow) -> bool {
         let pooled = (self.std_err.powi(2) + other.std_err.powi(2)).sqrt();
-        other.mean - self.mean > 2.0 * pooled
+        self.n > 0 && other.n > 0 && other.mean - self.mean > 2.0 * pooled
+    }
+
+    /// The mean and sample count as one table cell; `—` stands in for
+    /// the mean of a row with no samples.
+    fn cell(&self) -> String {
+        if self.n == 0 {
+            "— (n = 0)".to_string()
+        } else {
+            format!("{:.3} (n = {})", self.mean, self.n)
+        }
     }
 }
 
@@ -179,11 +190,12 @@ fn angle_diff_deg(a: f64, b: f64) -> f64 {
     d.to_degrees()
 }
 
-/// Render the two-method comparison as a Table II-style text table.
+/// Render the two-method comparison as a Table II-style text table:
+/// each cell is a mean error and its matched-source count.
 pub fn format_table(photo: &TableII, celeste: &TableII) -> String {
     let mut out = String::new();
     out.push_str(&format!(
-        "{:<14} {:>10} {:>10}   (bold = better by > 2 s.e.)\n",
+        "{:<14} {:>18} {:>18}   (bold = better by > 2 s.e.)\n",
         "", "Photo", "Celeste"
     ));
     for ((name, p), (_, c)) in photo.rows().into_iter().zip(celeste.rows()) {
@@ -195,17 +207,12 @@ pub fn format_table(photo: &TableII, celeste: &TableII) -> String {
             ""
         };
         out.push_str(&format!(
-            "{name:<14} {:>10.3} {:>10.3}{mark}\n",
-            p.mean, c.mean
+            "{name:<14} {:>18} {:>18}{mark}\n",
+            p.cell(),
+            c.cell()
         ));
     }
     out
-}
-
-/// Identity comparison helper for tests: a catalog scored against
-/// itself has zero error everywhere.
-pub fn is_all_zero(t: &TableII) -> bool {
-    t.rows().iter().all(|(_, r)| r.mean == 0.0)
 }
 
 #[cfg(test)]
@@ -238,7 +245,7 @@ mod tests {
     fn self_comparison_is_zero_error() {
         let cat = Catalog::new(vec![entry(0, 0.0, true, 5.0), entry(1, 0.01, false, 7.0)]);
         let t = compare_catalogs(&cat, &cat, &CompareConfig::default());
-        assert!(is_all_zero(&t), "{t:?}");
+        assert!(t.rows().iter().all(|(_, r)| r.mean == 0.0), "{t:?}");
         assert_eq!(t.position.n, 2);
         assert_eq!(t.profile.n, 1); // galaxies only
     }
@@ -266,6 +273,33 @@ mod tests {
         let fitted = Catalog::new(vec![entry(0, 0.5, true, 5.0)]); // 1800 arcsec away
         let t = compare_catalogs(&truth, &fitted, &CompareConfig::default());
         assert_eq!(t.position.n, 0);
+    }
+
+    #[test]
+    fn empty_rows_print_a_dash_and_their_count() {
+        // Stars only: every galaxy row is empty on both sides.
+        let truth = Catalog::new(vec![entry(0, 0.0, true, 5.0)]);
+        let t = compare_catalogs(&truth, &truth, &CompareConfig::default());
+        assert_eq!(t.profile.n, 0);
+        let table = format_table(&t, &t);
+        let profile = table
+            .lines()
+            .find(|l| l.starts_with("Profile"))
+            .expect("profile row");
+        assert!(profile.contains('—'), "{profile}");
+        assert!(profile.contains("n = 0"), "{profile}");
+        assert!(!profile.contains("0.000"), "{profile}");
+        let position = table.lines().find(|l| l.starts_with("Position")).unwrap();
+        assert!(position.contains("0.000 (n = 1)"), "{position}");
+        // An empty row is never marked better than a populated one.
+        let mut celeste = t.clone();
+        celeste.profile = ErrorRow {
+            mean: 0.5,
+            std_err: 0.01,
+            n: 40,
+        };
+        assert!(!t.profile.significantly_better_than(&celeste.profile));
+        assert!(!celeste.profile.significantly_better_than(&t.profile));
     }
 
     #[test]

@@ -49,7 +49,7 @@
 //!   periodically; [`RunOptions::resume`] restarts from the file,
 //!   re-running only unfinished regions, bit-identical to an
 //!   uninterrupted run.
-//! * A [`FaultPlan`] (config or `CELESTE_FAULTS` env) injects I/O
+//! * A [`FaultPlan`] ([`CampaignConfig::faults`]) injects I/O
 //!   errors, fit panics, stalls, and hangs into these *production*
 //!   paths deterministically, for chaos testing.
 //!
@@ -251,9 +251,8 @@ pub struct CampaignConfig {
     /// must comfortably exceed the slowest task's duration; the
     /// default (30s) is ~1000× a typical laptop-scale region fit.
     pub retry: RetryPolicy,
-    /// Injected faults for chaos testing. `None` (the default) falls
-    /// back to the `CELESTE_FAULTS` environment variable, so the CI
-    /// chaos job exercises the exact production code paths.
+    /// Injected faults for chaos testing, fired on the exact
+    /// production code paths. `None` (the default) injects none.
     pub faults: Option<FaultPlan>,
 }
 
@@ -537,7 +536,7 @@ pub fn run_campaign_with(
     let clock: Arc<dyn Clock> = options
         .clock
         .unwrap_or_else(|| Arc::new(SystemClock::default()));
-    let faults = cfg.faults.or_else(FaultPlan::from_env);
+    let faults = cfg.faults;
     let default_cancel = CancelToken::default();
     let cancel = options.cancel.unwrap_or(&default_cancel);
 

@@ -24,8 +24,6 @@ pub struct DtreeStats {
     pub transfers: AtomicU64,
     /// Total tasks served to workers.
     pub served: AtomicU64,
-    /// Maximum tree distance a refill had to travel.
-    pub max_refill_depth: AtomicU64,
 }
 
 struct Node<T> {
@@ -145,10 +143,6 @@ impl<T> Dtree<T> {
             cur = self.nodes[i].parent;
         }
         let Some(mut from) = donor else { return false };
-        let depth_travelled = (self.nodes[leaf].depth - self.nodes[from].depth) as u64;
-        self.stats
-            .max_refill_depth
-            .fetch_max(depth_travelled, Ordering::Relaxed);
         // Move batches down the chain, one edge at a time (parent →
         // child messages only, as in Dtree).
         while let Some(&to) = chain

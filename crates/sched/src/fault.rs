@@ -9,9 +9,7 @@
 //! function of `(seed, task, attempt)` — independent of thread
 //! interleaving — so chaos suites are reproducible and flake-free.
 //!
-//! Enable via [`CampaignConfig::faults`](crate::CampaignConfig) or
-//! the `CELESTE_FAULTS` environment variable, e.g.
-//! `CELESTE_FAULTS="seed=7,io=0.2,panic=0.3,slow=0.1,hang=0.1"`.
+//! Enable via [`CampaignConfig::faults`](crate::CampaignConfig).
 
 use std::time::Duration;
 
@@ -85,41 +83,6 @@ impl FaultPlan {
             || self.hang_rate > 0.0
     }
 
-    /// Parse `CELESTE_FAULTS` (`seed=7,io=0.2,panic=0.3,slow=0.1,`
-    /// `hang=0.1,io_max=2,slow_ms=20`). Returns `None` when unset or
-    /// empty; unknown or malformed entries are ignored.
-    pub fn from_env() -> Option<FaultPlan> {
-        FaultPlan::parse(&std::env::var("CELESTE_FAULTS").ok()?)
-    }
-
-    /// Parse a `CELESTE_FAULTS`-style spec string. `None` when empty
-    /// or when every rate is zero.
-    pub fn parse(spec: &str) -> Option<FaultPlan> {
-        if spec.trim().is_empty() {
-            return None;
-        }
-        let mut plan = FaultPlan::default();
-        for part in spec.split(',') {
-            let Some((k, v)) = part.split_once('=') else {
-                continue;
-            };
-            let (k, v) = (k.trim(), v.trim());
-            match k {
-                "seed" => plan.seed = v.parse().unwrap_or(plan.seed),
-                "io" => plan.io_error_rate = v.parse().unwrap_or(plan.io_error_rate),
-                "io_max" => plan.io_max_per_key = v.parse().unwrap_or(plan.io_max_per_key),
-                "panic" => plan.panic_rate = v.parse().unwrap_or(plan.panic_rate),
-                "slow" => plan.slow_rate = v.parse().unwrap_or(plan.slow_rate),
-                "slow_ms" => {
-                    plan.slow_for = Duration::from_millis(v.parse().unwrap_or(20));
-                }
-                "hang" => plan.hang_rate = v.parse().unwrap_or(plan.hang_rate),
-                _ => {}
-            }
-        }
-        plan.is_active().then_some(plan)
-    }
-
     /// Whether attempt `attempt` of task `task_id` panics.
     pub fn should_panic(&self, task_id: u64, attempt: u32) -> bool {
         roll(self.seed, SALT_PANIC, task_id, attempt as u64) < self.panic_rate
@@ -177,20 +140,6 @@ mod tests {
         // Rates are roughly honored.
         let frac = panics.iter().filter(|&&p| p).count() as f64 / 200.0;
         assert!((0.3..0.7).contains(&frac), "panic fraction {frac}");
-    }
-
-    #[test]
-    fn env_parsing_roundtrips() {
-        // The same code path from_env uses, without mutating the
-        // process environment (other tests run in parallel).
-        let plan =
-            FaultPlan::parse("seed=7, io=0.25, panic=0.5, hang=0.1, io_max=3").expect("parses");
-        assert_eq!(plan.seed, 7);
-        assert_eq!(plan.io_error_rate, 0.25);
-        assert_eq!(plan.panic_rate, 0.5);
-        assert_eq!(plan.hang_rate, 0.1);
-        assert_eq!(plan.io_max_per_key, 3);
-        assert!(plan.is_active());
     }
 
     #[test]

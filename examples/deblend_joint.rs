@@ -8,6 +8,8 @@
 //! divides them correctly.
 //!
 //! Run with: `cargo run --release --example deblend_joint`
+//! (exits nonzero unless the joint fit's mean relative flux error is
+//! below the independent fits').
 
 use celeste::survey::bands::Band;
 use celeste::survey::catalog::{CatalogEntry, GalaxyShape, SourceType};
@@ -99,10 +101,15 @@ fn main() -> Result<(), CelesteError> {
             .sum::<f64>()
             / 2.0
     };
+    let (indep_err, joint_err) = (err(&indep), err(&joint));
     println!(
         "\nmean relative flux error: independent {:.1}%  vs  joint {:.1}%",
-        100.0 * err(&indep),
-        100.0 * err(&joint)
+        100.0 * indep_err,
+        100.0 * joint_err
     );
+    if joint_err.partial_cmp(&indep_err) != Some(std::cmp::Ordering::Less) {
+        eprintln!("FAIL: the joint fit's flux error is not below the independent fits'");
+        std::process::exit(1);
+    }
     Ok(())
 }

@@ -4,6 +4,7 @@
 //! over heuristic pipelines.
 //!
 //! Run with: `cargo run --release --example quickstart`
+//! (exits nonzero when the fitted position is 1 arcsec or more off).
 
 use celeste::survey::bands::{nmgy_to_mag, Band};
 use celeste::survey::catalog::{CatalogEntry, GalaxyShape, SourceType};
@@ -117,10 +118,14 @@ fn main() -> Result<(), CelesteError> {
         "{:<22} {:>12.2} {:>12.2}",
         "deV fraction", truth.shape.frac_dev, fitted.shape.frac_dev
     );
+    let pos_err = fitted.pos.sep_arcsec(&truth.pos);
     println!(
-        "\nposition error: {:.3} arcsec (± {:.3} posterior sd)",
-        fitted.pos.sep_arcsec(&truth.pos),
+        "\nposition error: {pos_err:.3} arcsec (± {:.3} posterior sd)",
         unc.position_sd_arcsec[0]
     );
+    if pos_err.partial_cmp(&1.0) != Some(std::cmp::Ordering::Less) {
+        eprintln!("FAIL: position error {pos_err:.3} arcsec is not below 1 arcsec");
+        std::process::exit(1);
+    }
     Ok(())
 }
