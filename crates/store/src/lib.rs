@@ -25,12 +25,16 @@
 //!    [`CatalogStore::to_catalog`] is bit-identical to the batch
 //!    output catalog, at any pool width.
 //! 2. **Query** — readers lock only the shards their covering cells
-//!    hash to, never the id index. Every query observes a consistent
-//!    snapshot of each *shard*; a source concurrently moving between
-//!    cells (a refit that shifted its position across a cell
-//!    boundary) may transiently be seen in both cells, so all queries
-//!    deduplicate by id before returning. A source is inserted into
-//!    its new cell *before* being removed from the old one, so a
+//!    hash to, never the id index. Each query's predicate (cone,
+//!    rect + filter, brightest-N window) runs in place on the entries
+//!    under the shard's read lock, and only the entries that pass are
+//!    copied out; brightest-N keeps at most `2n` copies at a time.
+//!    Every query observes a consistent snapshot of each *shard*; a
+//!    source concurrently moving between cells (a refit that shifted
+//!    its position across a cell boundary) may transiently be seen in
+//!    both cells, so every query sorts its copied hits by id and drops
+//!    the second copy before returning. A source is inserted into its
+//!    new cell *before* being removed from the old one, so a
 //!    fully-ingested source is never invisible.
 //! 3. **Re-run** — [`CatalogStore::cached_region`] looks up a prior
 //!    region result by provenance key (see [`task_provenance_key`]).
@@ -103,7 +107,8 @@ mod witness {
             if let Some(&deepest) = held.last() {
                 assert!(
                     rank > deepest,
-                    "lock-order violation: acquiring {class} (rank {rank}) while                      holding rank {deepest}; order is id-stripe (1) -> cell-shard (2) -> cache (3)"
+                    "lock-order violation: acquiring {class} (rank {rank}) while \
+                     holding rank {deepest}; order is id-stripe (1) -> cell-shard (2) -> cache (3)"
                 );
             }
             held.push(rank);
@@ -599,47 +604,44 @@ impl CatalogStore {
         }
     }
 
-    /// Visit every entry currently indexed under `cells`,
-    /// deduplicated by id (a concurrent cross-cell move can expose a
-    /// source in two cells transiently). A `Some(stamp)` records a
-    /// query touch on each visited cell (the eviction LRU signal);
-    /// `None` is a bookkeeping read that leaves the counters alone.
-    fn collect_cells(
+    /// Call `f` on every entry indexed under `cells` (`None`: every
+    /// cell), in place, under each cell's shard read lock — one shard
+    /// at a time, as the lock order requires. `f` decides what to
+    /// copy out, so a query clones only its hits. A concurrent
+    /// cross-cell move can expose one id in two cells, so `f` may see
+    /// an id twice; callers drop the extra copy with
+    /// [`dedup_by_id`] (or, for brightest-N, [`TopN`]). A
+    /// `Some(stamp)` records a query touch on each visited cell (the
+    /// eviction LRU signal); `None` is a bookkeeping read that leaves
+    /// the counters alone.
+    fn visit(
         &self,
-        cells: &[CellId],
-        out: &mut BTreeMap<u64, CatalogEntry>,
+        cells: Option<&[CellId]>,
         stamp: Option<u64>,
+        mut f: impl FnMut(&CatalogEntry),
     ) {
-        for &cell in cells {
-            self.with_shard_read(self.shard_of(cell), |s| {
-                if let Some(c) = s.cells.get(&cell) {
-                    if let Some(stamp) = stamp {
-                        c.touches.fetch_add(1, Ordering::Relaxed);
-                        c.last_touch.store(stamp, Ordering::Relaxed);
-                    }
-                    for (&id, e) in &c.entries {
-                        out.insert(id, e.clone());
-                    }
+        let mut read = |c: &Cell| {
+            if let Some(stamp) = stamp {
+                c.touches.fetch_add(1, Ordering::Relaxed);
+                c.last_touch.store(stamp, Ordering::Relaxed);
+            }
+            c.entries.values().for_each(&mut f);
+        };
+        match cells {
+            Some(cells) => {
+                for &cell in cells {
+                    self.with_shard_read(self.shard_of(cell), |s| {
+                        if let Some(c) = s.cells.get(&cell) {
+                            read(c);
+                        }
+                    });
                 }
-            });
-        }
-    }
-
-    /// Every entry in the store, deduplicated by id. Touch stamping
-    /// as in [`CatalogStore::collect_cells`].
-    fn collect_all(&self, out: &mut BTreeMap<u64, CatalogEntry>, stamp: Option<u64>) {
-        for shard in &self.shards {
-            self.with_shard_read(shard, |s| {
-                for c in s.cells.values() {
-                    if let Some(stamp) = stamp {
-                        c.touches.fetch_add(1, Ordering::Relaxed);
-                        c.last_touch.store(stamp, Ordering::Relaxed);
-                    }
-                    for (&id, e) in &c.entries {
-                        out.insert(id, e.clone());
-                    }
+            }
+            None => {
+                for shard in &self.shards {
+                    self.with_shard_read(shard, |s| s.cells.values().for_each(&mut read));
                 }
-            });
+            }
         }
     }
 
@@ -670,16 +672,14 @@ impl CatalogStore {
         }
         let rect = cone_rect(center, radius_arcsec);
         let cells = CellId::covering(&rect, self.level);
-        let mut seen = BTreeMap::new();
-        self.collect_cells(&cells, &mut seen, Some(self.query_stamp()));
-        let mut hits: Vec<(CatalogEntry, f64)> = seen
-            .into_values()
-            .map(|e| {
-                let sep = e.pos.sep_arcsec(center);
-                (e, sep)
-            })
-            .filter(|(_, sep)| sep.is_finite() && *sep <= radius_arcsec)
-            .collect();
+        let mut hits: Vec<(CatalogEntry, f64)> = Vec::new();
+        self.visit(Some(&cells), Some(self.query_stamp()), |e| {
+            let sep = e.pos.sep_arcsec(center);
+            if sep.is_finite() && sep <= radius_arcsec {
+                hits.push((e.clone(), sep));
+            }
+        });
+        dedup_by_id(&mut hits, |(e, _)| e.id);
         hits.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.id.cmp(&b.0.id)));
         Ok(hits)
     }
@@ -701,12 +701,14 @@ impl CatalogStore {
         }
         filter.validate()?;
         let cells = CellId::covering(rect, self.level);
-        let mut seen = BTreeMap::new();
-        self.collect_cells(&cells, &mut seen, Some(self.query_stamp()));
-        Ok(seen
-            .into_values()
-            .filter(|e| rect.contains(&e.pos) && filter.matches(e))
-            .collect())
+        let mut hits = Vec::new();
+        self.visit(Some(&cells), Some(self.query_stamp()), |e| {
+            if rect.contains(&e.pos) && filter.matches(e) {
+                hits.push(e.clone());
+            }
+        });
+        dedup_by_id(&mut hits, |e| e.id);
+        Ok(hits)
     }
 
     /// The `n` brightest sources by r-band flux, brightest first
@@ -714,26 +716,18 @@ impl CatalogStore {
     /// non-finite flux are skipped. Agrees with the brute-force
     /// [`Catalog::brightest_n`] over the same entries.
     pub fn brightest_n(&self, n: usize, within: Option<&SkyRect>) -> Vec<CatalogEntry> {
-        let mut seen = BTreeMap::new();
         let stamp = Some(self.query_stamp());
-        match within {
-            Some(rect) => {
-                self.collect_cells(&CellId::covering(rect, self.level), &mut seen, stamp);
-                seen.retain(|_, e| rect.contains(&e.pos));
+        let cells = within.map(|rect| CellId::covering(rect, self.level));
+        let mut top = TopN::new(n);
+        self.visit(cells.as_deref(), stamp, |e| {
+            if e.flux_r_nmgy.is_finite()
+                && top.admits(e)
+                && within.is_none_or(|rect| rect.contains(&e.pos))
+            {
+                top.push(e);
             }
-            None => self.collect_all(&mut seen, stamp),
-        }
-        let mut bright: Vec<CatalogEntry> = seen
-            .into_values()
-            .filter(|e| e.flux_r_nmgy.is_finite())
-            .collect();
-        bright.sort_by(|a, b| {
-            b.flux_r_nmgy
-                .total_cmp(&a.flux_r_nmgy)
-                .then(a.id.cmp(&b.id))
         });
-        bright.truncate(n);
-        bright
+        top.into_sorted()
     }
 
     /// Run a self-describing [`CatalogQuery`], discarding per-hit
@@ -759,9 +753,10 @@ impl CatalogStore {
     /// emits, so a store fed by a streamed campaign snapshots to a
     /// catalog bit-identical to the batch output.
     pub fn to_catalog(&self) -> Catalog {
-        let mut seen = BTreeMap::new();
-        self.collect_all(&mut seen, None);
-        Catalog::new(seen.into_values().collect())
+        let mut all = Vec::with_capacity(self.len());
+        self.visit(None, None, |e| all.push(e.clone()));
+        dedup_by_id(&mut all, |e| e.id);
+        Catalog::new(all)
     }
 
     /// The cells a query's search area can reach at this store's
@@ -833,6 +828,79 @@ fn cone_rect(center: &SkyCoord, radius_arcsec: f64) -> SkyRect {
         (center.dec - r_deg - pad).max(-90.0),
         (center.dec + r_deg + pad).min(90.0 + f64::EPSILON * 90.0),
     )
+}
+
+/// Sort `hits` by id and keep one copy per id. This is where queries
+/// drop the second copy a [`CatalogStore::visit`] racing a cross-cell
+/// move can report (a moving source enters its new cell before it
+/// leaves the old one).
+fn dedup_by_id<T>(hits: &mut Vec<T>, id: impl Fn(&T) -> u64) {
+    hits.sort_by_key(&id);
+    hits.dedup_by_key(|h| id(h));
+}
+
+/// Brightest-first order: r-band flux descending (`total_cmp`), then
+/// id ascending.
+fn brighter(a: &CatalogEntry, b: &CatalogEntry) -> std::cmp::Ordering {
+    b.flux_r_nmgy
+        .total_cmp(&a.flux_r_nmgy)
+        .then(a.id.cmp(&b.id))
+}
+
+/// A bounded brightest-`n` accumulator over entries seen by
+/// reference. An entry is cloned only if it beats the current `n`-th
+/// key; once `2n` candidates pile up they are compacted (one copy per
+/// id, the brightest, then sorted and cut to `n`), so `m` pushes cost
+/// O(m log n) at worst and memory stays O(n).
+struct TopN {
+    n: usize,
+    /// After a compaction that left `n` of them, the first `n` are
+    /// sorted brightest first and later pushes are appended behind.
+    candidates: Vec<CatalogEntry>,
+    /// Whether the last compaction left `n` candidates, making
+    /// `candidates[n - 1]` the key an entry has to beat.
+    full: bool,
+}
+
+impl TopN {
+    fn new(n: usize) -> TopN {
+        TopN {
+            n,
+            candidates: Vec::new(),
+            full: false,
+        }
+    }
+
+    /// Whether `e` could still enter the answer: it beats the current
+    /// `n`-th key. Cheap, so callers test it before costlier
+    /// predicates.
+    fn admits(&self, e: &CatalogEntry) -> bool {
+        self.n > 0 && !(self.full && brighter(e, &self.candidates[self.n - 1]).is_ge())
+    }
+
+    /// Copy in an entry [`TopN::admits`] let through.
+    fn push(&mut self, e: &CatalogEntry) {
+        self.candidates.push(e.clone());
+        if self.candidates.len() >= self.n.saturating_mul(2) {
+            self.compact();
+        }
+    }
+
+    fn compact(&mut self) {
+        // One copy per id (the brightest), so `n` survivors are `n`
+        // distinct sources even while one is mid-move.
+        self.candidates
+            .sort_by(|a, b| a.id.cmp(&b.id).then_with(|| brighter(a, b)));
+        self.candidates.dedup_by_key(|e| e.id);
+        self.candidates.sort_by(brighter);
+        self.candidates.truncate(self.n);
+        self.full = self.candidates.len() == self.n;
+    }
+
+    fn into_sorted(mut self) -> Vec<CatalogEntry> {
+        self.compact();
+        self.candidates
+    }
 }
 
 fn fold(acc: u64, bits: u64) -> u64 {
@@ -968,6 +1036,9 @@ mod tests {
     use super::*;
     use celeste_survey::catalog::GalaxyShape;
 
+    // The witness asserts only under `debug_assertions`; a release
+    // build compiles the check away, so there is nothing to catch.
+    #[cfg(debug_assertions)]
     #[test]
     #[should_panic(expected = "lock-order violation")]
     fn witness_catches_inverted_acquisition() {
@@ -1210,6 +1281,75 @@ mod tests {
         });
         assert_eq!(store.len(), 200);
         assert_eq!(store.to_catalog().len(), 200);
+    }
+
+    #[test]
+    fn a_source_seen_in_two_cells_is_answered_once() {
+        let store = store_with(&[
+            entry(1, 10.0, 10.0, 5.0),
+            entry(2, 10.2, 10.0, 3.0),
+            entry(4, 10.0, 10.1, 6.0),
+            entry(6, 10.3, 10.1, 1.0),
+        ]);
+        // The state `insert` passes through mid-move: id 4's refit is
+        // already in its new cell, its old copy not yet removed.
+        let moved = entry(4, 10.5, 10.05, 5.5);
+        let new_cell = CellId::of(&moved.pos, store.level);
+        let old = store.get(4).unwrap();
+        assert_ne!(new_cell, CellId::of(&old.pos, store.level));
+        store.with_shard_write(store.shard_of(new_cell), |s| {
+            s.cells
+                .entry(new_cell)
+                .or_default()
+                .entries
+                .insert(4, moved.clone());
+        });
+        let check = |what: &str, got: Vec<CatalogEntry>, want_ids: &[u64]| {
+            let ids: Vec<u64> = got.iter().map(|e| e.id).collect();
+            assert_eq!(ids, want_ids, "{what}");
+            let copy = got.iter().find(|e| e.id == 4).unwrap();
+            assert!(*copy == old || *copy == moved, "{what}: {copy:?}");
+        };
+        let mut cone: Vec<CatalogEntry> = store
+            .cone_search(&SkyCoord::new(10.25, 10.05), 3600.0)
+            .unwrap()
+            .into_iter()
+            .map(|(e, _)| e)
+            .collect();
+        cone.sort_by_key(|e| e.id);
+        check("cone", cone, &[1, 2, 4, 6]);
+        let rect = SkyRect::new(9.9, 10.6, 9.9, 10.2);
+        check(
+            "rect",
+            store.rect_search(&rect, &SourceFilter::default()).unwrap(),
+            &[1, 2, 4, 6],
+        );
+        // Both copies outrank every other source, so a top-2 that kept
+        // copies rather than sources would answer [4, 4].
+        for within in [None, Some(&rect)] {
+            check("top-1", store.brightest_n(1, within), &[4]);
+            check("top-2", store.brightest_n(2, within), &[4, 1]);
+            check("top-3", store.brightest_n(3, within), &[4, 1, 2]);
+            check("top-10", store.brightest_n(10, within), &[4, 1, 2, 6]);
+        }
+    }
+
+    #[test]
+    fn top_n_holds_at_most_2n_copies() {
+        // Ascending flux makes every entry beat the current floor,
+        // the worst case for the accumulator's size.
+        for n in [1, 3, 20] {
+            let mut top = TopN::new(n);
+            for i in 0..500u64 {
+                let e = entry(i, 10.0, 10.0, i as f64);
+                assert!(top.admits(&e));
+                top.push(&e);
+                assert!(top.candidates.len() < 2 * n, "n={n} after {i}");
+            }
+            let ids: Vec<u64> = top.into_sorted().iter().map(|e| e.id).collect();
+            let want: Vec<u64> = (0..500u64).rev().take(n).collect();
+            assert_eq!(ids, want);
+        }
     }
 
     #[test]

@@ -26,6 +26,7 @@ use celeste_par::ThreadPool;
 use celeste_sched::{
     partition_sky, run_campaign_with, stage_survey, PartitionConfig, RegionTask, RunOptions,
 };
+use celeste_survey::bands::Band;
 use celeste_survey::catalog::{CatalogEntry, GalaxyShape, SourceType};
 use celeste_survey::io::ImageStore;
 use celeste_survey::skygeom::{GeometryConfig, SkyCoord, SkyRect};
@@ -352,12 +353,46 @@ fn random_sky(n: usize, seed: u64, level: u8) -> Vec<CatalogEntry> {
                 } else {
                     SourceType::Star
                 },
-                flux_r_nmgy: rng.random::<f64>() * 100.0,
-                colors: [0.1, 0.2, -0.1, 0.05],
-                shape: GalaxyShape::round_disk(1.0),
+                flux_r_nmgy: FLUXES[(rng.random::<f64>() * FLUXES.len() as f64) as usize],
+                colors: std::array::from_fn(|_| rng.random::<f64>() - 0.5),
+                shape: GalaxyShape {
+                    frac_dev: rng.random::<f64>(),
+                    axis_ratio: 0.1 + 0.9 * rng.random::<f64>(),
+                    angle_rad: rng.random::<f64>() * std::f64::consts::PI,
+                    radius_arcsec: 0.5 + 4.0 * rng.random::<f64>(),
+                },
             }
         })
         .collect()
+}
+
+/// The r fluxes a random sky draws from: few enough that brightest-N
+/// meets flux ties (broken by id), with both zeros (`total_cmp` puts
+/// `0.0` above `-0.0`) and the non-finite fluxes brightest-N skips.
+const FLUXES: [f64; 8] = [-0.0, 0.0, f64::NAN, f64::INFINITY, 1.0, 7.5, 7.5, 40.0];
+
+/// Every stored bit of an entry, so query parity covers content and
+/// not just which ids came back.
+fn entry_bits(e: &CatalogEntry) -> [u64; 13] {
+    [
+        e.id,
+        e.pos.ra.to_bits(),
+        e.pos.dec.to_bits(),
+        u64::from(e.source_type == SourceType::Galaxy),
+        e.flux_r_nmgy.to_bits(),
+        e.colors[0].to_bits(),
+        e.colors[1].to_bits(),
+        e.colors[2].to_bits(),
+        e.colors[3].to_bits(),
+        e.shape.frac_dev.to_bits(),
+        e.shape.axis_ratio.to_bits(),
+        e.shape.angle_rad.to_bits(),
+        e.shape.radius_arcsec.to_bits(),
+    ]
+}
+
+fn all_bits<'a>(entries: impl IntoIterator<Item = &'a CatalogEntry>) -> Vec<[u64; 13]> {
+    entries.into_iter().map(entry_bits).collect()
 }
 
 proptest! {
@@ -384,43 +419,53 @@ proptest! {
 
         // Cone search, including cones straddling the seam.
         let center = SkyCoord::new(ra_c, dec_c);
-        let got: Vec<(u64, u64)> = store
+        let got: Vec<([u64; 13], u64)> = store
             .cone_search(&center, radius)
             .unwrap()
             .iter()
-            .map(|(e, s)| (e.id, s.to_bits()))
+            .map(|(e, s)| (entry_bits(e), s.to_bits()))
             .collect();
-        let want: Vec<(u64, u64)> = cat
+        let want: Vec<([u64; 13], u64)> = cat
             .cone_search(&center, radius)
             .iter()
-            .map(|(e, s)| (e.id, s.to_bits()))
+            .map(|(e, s)| (entry_bits(e), s.to_bits()))
             .collect();
         prop_assert_eq!(got, want, "cone at ({}, {}) r={}", ra_c, dec_c, radius);
 
         // Rect search, including rects wrapping past RA 360.
         let rect = SkyRect::new(ra_c, ra_c + width, (dec_c - 10.0).max(-90.0), dec_c);
-        let got: Vec<u64> = store
-            .rect_search(&rect, &SourceFilter::default())
-            .unwrap()
-            .iter()
-            .map(|e| e.id)
-            .collect();
-        let mut want: Vec<u64> = cat.in_rect(&rect).iter().map(|e| e.id).collect();
-        want.sort_unstable();
-        prop_assert_eq!(got, want);
+        let got = all_bits(&store.rect_search(&rect, &SourceFilter::default()).unwrap());
+        let mut in_rect = cat.in_rect(&rect);
+        in_rect.sort_by_key(|e| e.id);
+        prop_assert_eq!(got, all_bits(in_rect.iter().copied()));
 
-        // Brightest-N, global and windowed.
-        let got: Vec<u64> = store.brightest_n(k, None).iter().map(|e| e.id).collect();
-        let want: Vec<u64> = cat.brightest_n(k).iter().map(|e| e.id).collect();
-        prop_assert_eq!(got, want);
-        let got: Vec<u64> = store
-            .brightest_n(k, Some(&rect))
-            .iter()
-            .map(|e| e.id)
-            .collect();
-        let windowed = Catalog::new(cat.in_rect(&rect).into_iter().cloned().collect());
-        let want: Vec<u64> = windowed.brightest_n(k).iter().map(|e| e.id).collect();
-        prop_assert_eq!(got, want);
+        // The same rect behind a type + flux filter, against a
+        // predicate written out here rather than `SourceFilter::matches`.
+        let source_type = [SourceType::Star, SourceType::Galaxy][seed as usize % 2];
+        let band = Band::ALL[(seed as usize / 2) % 5];
+        let min = [-0.0, 0.0, 1.0, 7.5][(seed as usize / 10) % 4];
+        let filtered = SourceFilter {
+            source_type: Some(source_type),
+            min_flux: Some((band, min)),
+        };
+        let got = all_bits(&store.rect_search(&rect, &filtered).unwrap());
+        let want = all_bits(
+            in_rect
+                .iter()
+                .copied()
+                .filter(|e| e.source_type == source_type && e.fluxes()[band.index()] >= min),
+        );
+        prop_assert_eq!(got, want, "filter {:?}", filtered);
+
+        // Brightest-N, global and windowed, at the drawn k, at none and
+        // at more than there are candidates.
+        let windowed = Catalog::new(in_rect.into_iter().cloned().collect());
+        for k in [k, 0, n + 5] {
+            let got = all_bits(&store.brightest_n(k, None));
+            prop_assert_eq!(got, all_bits(cat.brightest_n(k)), "k={}", k);
+            let got = all_bits(&store.brightest_n(k, Some(&rect)));
+            prop_assert_eq!(got, all_bits(windowed.brightest_n(k)), "windowed k={}", k);
+        }
     }
 }
 
