@@ -187,7 +187,7 @@ impl<T> Dtree<T> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicUsize;
-    use std::sync::Arc;
+    use std::sync::{Arc, Barrier};
 
     #[test]
     fn serves_every_task_exactly_once_single_worker() {
@@ -283,14 +283,22 @@ mod tests {
         // 5 workers on a fanout-2 tree (non-power-of-two).
         let dt = Arc::new(Dtree::new(5, 2, (0..1000).collect::<Vec<usize>>()));
         let served: Arc<Vec<AtomicUsize>> = Arc::new((0..5).map(|_| AtomicUsize::new(0)).collect());
+        // Every worker takes its first task before any takes a second,
+        // so one scheduled late cannot find its subtree drained by a
+        // sibling: five pops cannot empty a root of 1000.
+        let first_taken = Arc::new(Barrier::new(5));
         std::thread::scope(|s| {
             for w in 0..5 {
                 let dt = Arc::clone(&dt);
                 let served = Arc::clone(&served);
+                let first_taken = Arc::clone(&first_taken);
                 s.spawn(move || {
-                    while dt.pop(w).is_some() {
+                    let mut task = dt.pop(w);
+                    first_taken.wait();
+                    while task.is_some() {
                         served[w].fetch_add(1, Ordering::Relaxed);
                         std::thread::yield_now();
+                        task = dt.pop(w);
                     }
                 });
             }

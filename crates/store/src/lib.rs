@@ -576,23 +576,12 @@ impl CatalogStore {
     }
 
     /// Occupancy and traffic counters, including the per-cell
-    /// occupancy/touch table (ascending by cell id) that the serving
-    /// layer's LRU eviction ranks cells by.
+    /// occupancy/touch table (ascending by cell id) whose coldest rows
+    /// [`CatalogStore::coldest_cells`] picks for the serving layer's
+    /// LRU eviction.
     pub fn stats(&self) -> CatalogStoreStats {
-        let mut per_cell: Vec<CellOccupancy> = Vec::new();
-        for shard in &self.shards {
-            self.with_shard_read(shard, |s| {
-                for (&cell, c) in &s.cells {
-                    per_cell.push(CellOccupancy {
-                        cell,
-                        entries: c.entries.len(),
-                        touches: c.touches.load(Ordering::Relaxed),
-                        last_touch: c.last_touch.load(Ordering::Relaxed),
-                    });
-                }
-            });
-        }
-        per_cell.sort_by_key(|o| (o.cell.level, o.cell.ix, o.cell.iy));
+        let mut per_cell = self.occupancies();
+        per_cell.sort_by_key(|o| o.cell);
         CatalogStoreStats {
             entries: self.len(),
             cells: per_cell.len(),
@@ -602,6 +591,55 @@ impl CatalogStore {
             queries: self.query_clock.load(Ordering::Relaxed),
             per_cell,
         }
+    }
+
+    /// The coldest resident cells, coldest first — oldest
+    /// `last_touch`, then fewest `touches`, then cell id — up to the
+    /// first whose entry counts together reach `excess` (all of them
+    /// when they never do; none for 0): the serving layer's LRU
+    /// victims. They are the same cells, in the same order, as the
+    /// prefix of [`CatalogStore::stats`]'s per-cell table sorted by
+    /// that key, found without the cache lock or a sort of the whole
+    /// table. A resident cell always holds an entry (the last one out
+    /// removes it), so the prefix lies among the `excess` coldest
+    /// cells: those are partitioned out by linear-time selection and
+    /// only they are sorted (unstably: the key is unique per cell).
+    pub fn coldest_cells(&self, excess: usize) -> Vec<CellOccupancy> {
+        let key = |o: &CellOccupancy| (o.last_touch, o.touches, o.cell);
+        let mut cells = self.occupancies();
+        let k = excess.min(cells.len());
+        if k > 0 {
+            cells.select_nth_unstable_by_key(k - 1, key);
+        }
+        cells.truncate(k);
+        cells.sort_unstable_by_key(key);
+        let mut covered = 0;
+        let n = cells
+            .iter()
+            .position(|o| {
+                covered += o.entries;
+                covered >= excess
+            })
+            .map_or(cells.len(), |i| i + 1);
+        cells.truncate(n);
+        cells
+    }
+
+    /// One [`CellOccupancy`] per resident cell, shard by shard, in no
+    /// particular order.
+    fn occupancies(&self) -> Vec<CellOccupancy> {
+        let mut cells = Vec::new();
+        for shard in &self.shards {
+            self.with_shard_read(shard, |s| {
+                cells.extend(s.cells.iter().map(|(&cell, c)| CellOccupancy {
+                    cell,
+                    entries: c.entries.len(),
+                    touches: c.touches.load(Ordering::Relaxed),
+                    last_touch: c.last_touch.load(Ordering::Relaxed),
+                }));
+            });
+        }
+        cells
     }
 
     /// Call `f` on every entry indexed under `cells` (`None`: every

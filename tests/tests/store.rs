@@ -14,13 +14,16 @@
 //!   references over random skies, including the RA seam.
 //! * Concurrency — readers query (and agree with invariants) while
 //!   a 2-thread campaign is still filling the store.
+//! * Eviction order — `coldest_cells` picks the same cells, in the
+//!   same order, as ranking the whole per-cell table, over random
+//!   touch histories.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
 
 use celeste::{
-    CatalogQuery, CatalogStore, Celeste, CelesteError, FitConfig, Session, SourceFilter,
-    StoreConfig, StoreError,
+    CatalogQuery, CatalogStore, Celeste, CelesteError, CellOccupancy, FitConfig, Session,
+    SourceFilter, StoreConfig, StoreError,
 };
 use celeste_par::ThreadPool;
 use celeste_sched::{
@@ -466,6 +469,67 @@ proptest! {
             let got = all_bits(&store.brightest_n(k, Some(&rect)));
             prop_assert_eq!(got, all_bits(windowed.brightest_n(k)), "windowed k={}", k);
         }
+    }
+}
+
+/// The eviction order written out: every resident cell from `stats`,
+/// coldest first by (last touch, touches, cell), up to the first whose
+/// entry counts together reach `excess`.
+fn cold_prefix(store: &CatalogStore, excess: usize) -> Vec<CellOccupancy> {
+    let mut order = store.stats().per_cell;
+    order.sort_by_key(|o| (o.last_touch, o.touches, o.cell));
+    let mut covered = 0;
+    order
+        .into_iter()
+        .take_while(|o| {
+            let short = covered < excess;
+            covered += o.entries;
+            short
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    #[test]
+    fn coldest_cells_is_the_cold_first_prefix_that_covers_the_excess(
+        seed in 0..1000u64,
+        n in 1..300usize,
+        level in 2..9u32,
+        queries in 0..60usize,
+        frac in 0.0..1.0f64,
+    ) {
+        let level = level as u8;
+        let entries = random_sky(n, seed, level);
+        let store = CatalogStore::new(StoreConfig { level, lock_shards: 8 });
+        for e in &entries {
+            store.insert(e.clone());
+        }
+        // A touch history: cones around, rects beside and windowed
+        // brightest-N over random sources, so cells differ in last
+        // touch and in touch count, and cells one query reads tie on
+        // last touch.
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5eed);
+        for _ in 0..queries {
+            let at = entries[rng.random::<usize>() % n].pos;
+            let side = rng.random::<f64>() * 30.0;
+            let rect = SkyRect::new(at.ra, at.ra + side, (at.dec - side).max(-90.0), at.dec);
+            match rng.random::<u64>() % 3 {
+                0 => drop(store.cone_search(&at, side * 3600.0).unwrap()),
+                1 => drop(store.rect_search(&rect, &SourceFilter::default()).unwrap()),
+                _ => drop(store.brightest_n(3, Some(&rect))),
+            }
+        }
+        let len = store.len();
+        let drawn = (frac * len as f64) as usize;
+        for excess in [0, 1, len / 2, drawn, len, len + 1, usize::MAX] {
+            prop_assert_eq!(store.coldest_cells(excess), cold_prefix(&store, excess), "excess {}", excess);
+        }
+        let mut everything = store.stats().per_cell;
+        everything.sort_by_key(|o| (o.last_touch, o.touches, o.cell));
+        prop_assert_eq!(store.coldest_cells(len + 1), everything);
+        prop_assert!(store.coldest_cells(0).is_empty());
     }
 }
 
