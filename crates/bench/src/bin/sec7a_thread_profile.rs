@@ -3,9 +3,9 @@
 //! The paper profiles a worker thread: 67% generated (model) code, 18%
 //! native dependencies / runtime, 10% system math library, 3% MKL, 2%
 //! kernel. Our analogue instruments the same roles in the Rust port:
-//! the ELBO kernels (model code), linear algebra (eigen + Cholesky =
-//! the MKL role), image I/O + decoding (native deps), and everything
-//! else (scheduling, allocation, misc).
+//! the ELBO kernels (model code), linear algebra (the eigen-based
+//! trust-region solve = the MKL role), image I/O + decoding (native
+//! deps), and everything else (scheduling, allocation, misc).
 
 use celeste_core::likelihood::{add_likelihood, likelihood_value};
 use celeste_core::{FitConfig, ModelPriors, SourceParams};

@@ -290,7 +290,6 @@ pub fn run_calibration_campaign(seed: u64) -> CampaignReport {
         &PartitionConfig {
             target_work: 800.0,
             max_sources: 40,
-            ..Default::default()
         },
     );
     let session = Celeste::builder()

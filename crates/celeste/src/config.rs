@@ -17,8 +17,9 @@ use celeste_survey::Priors;
 /// It resolves as: explicit [`CelesteBuilder::threads`] if set, else
 /// the `CELESTE_THREADS` environment variable if set to a positive
 /// integer, else the machine's available parallelism. The campaign
-/// node count, Cyclades batch width, and prefetcher pool are derived
-/// from it (overridable individually), replacing the pre-facade
+/// node count (overridable with [`CelesteBuilder::n_nodes`]) and the
+/// Cyclades batch width are derived from it, and the campaign sizes
+/// its prefetcher pool as `threads.max(2)`, replacing the pre-facade
 /// duplication where `CampaignConfig::n_nodes` and `process_region`'s
 /// `n_threads` each re-read the environment. Note the global
 /// `celeste-par` executor is sized once per process from
@@ -30,11 +31,7 @@ pub struct CelesteConfig {
     pub threads: usize,
     /// Simulated campaign nodes (default: `threads.min(2)`).
     pub n_nodes: usize,
-    /// Prefetcher IO threads (default: `threads.max(2)`).
-    pub prefetch_workers: usize,
-    /// Dtree scheduler fanout (default: 4).
-    pub dtree_fanout: usize,
-    /// Variational-fit knobs (Newton, active pixels, culling, BCA).
+    /// Variational-fit knobs (Newton, culling, BCA).
     pub fit: FitConfig,
     /// Detection/classification knobs for the Photo stage.
     pub photo: PhotoConfig,
@@ -53,8 +50,6 @@ impl CelesteConfig {
         CampaignConfig {
             n_nodes: self.n_nodes,
             threads_per_node: self.threads,
-            prefetch_workers: self.prefetch_workers,
-            dtree_fanout: self.dtree_fanout,
             fit: self.fit,
             retry: self.retry,
             faults: self.faults,
@@ -74,8 +69,6 @@ impl CelesteConfig {
 pub struct CelesteBuilder {
     threads: Option<usize>,
     n_nodes: Option<usize>,
-    prefetch_workers: Option<usize>,
-    dtree_fanout: Option<usize>,
     fit: Option<FitConfig>,
     photo: Option<PhotoConfig>,
     priors: Option<ModelPriors>,
@@ -94,18 +87,6 @@ impl CelesteBuilder {
     /// Number of simulated campaign nodes.
     pub fn n_nodes(mut self, n: usize) -> Self {
         self.n_nodes = Some(n);
-        self
-    }
-
-    /// Prefetcher IO thread count.
-    pub fn prefetch_workers(mut self, n: usize) -> Self {
-        self.prefetch_workers = Some(n);
-        self
-    }
-
-    /// Dtree scheduler fanout.
-    pub fn dtree_fanout(mut self, n: usize) -> Self {
-        self.dtree_fanout = Some(n);
         self
     }
 
@@ -164,14 +145,6 @@ impl CelesteBuilder {
         if n_nodes == 0 {
             return Err(bad("n_nodes", "must be at least 1"));
         }
-        let prefetch_workers = self.prefetch_workers.unwrap_or_else(|| threads.max(2));
-        if prefetch_workers == 0 {
-            return Err(bad("prefetch_workers", "must be at least 1"));
-        }
-        let dtree_fanout = self.dtree_fanout.unwrap_or(4);
-        if dtree_fanout < 2 {
-            return Err(bad("dtree_fanout", "must be at least 2"));
-        }
 
         let fit = self.fit.unwrap_or_default();
         if fit.bca_passes == 0 {
@@ -184,27 +157,6 @@ impl CelesteBuilder {
             return Err(bad(
                 "fit.cull_tol",
                 format!("must be finite and non-negative, got {}", fit.cull_tol),
-            ));
-        }
-        if !(fit.active_nsigma.is_finite() && fit.active_nsigma > 0.0) {
-            return Err(bad(
-                "fit.active_nsigma",
-                format!("must be finite and positive, got {}", fit.active_nsigma),
-            ));
-        }
-        if !(fit.min_radius_px.is_finite() && fit.min_radius_px > 0.0) {
-            return Err(bad(
-                "fit.min_radius_px",
-                format!("must be finite and positive, got {}", fit.min_radius_px),
-            ));
-        }
-        if !(fit.max_radius_px.is_finite() && fit.max_radius_px >= fit.min_radius_px) {
-            return Err(bad(
-                "fit.max_radius_px",
-                format!(
-                    "must be finite and at least min_radius_px ({}), got {}",
-                    fit.min_radius_px, fit.max_radius_px
-                ),
             ));
         }
 
@@ -250,8 +202,6 @@ impl CelesteBuilder {
         Ok(CelesteConfig {
             threads,
             n_nodes,
-            prefetch_workers,
-            dtree_fanout,
             fit,
             photo,
             priors,

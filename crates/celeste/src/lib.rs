@@ -82,10 +82,12 @@
 //! All parallelism derives from a single resolved thread count with
 //! the precedence **builder [`CelesteBuilder::threads`] >
 //! `CELESTE_THREADS` environment variable > available parallelism**.
-//! The Cyclades batch width, campaign node count, and prefetcher pool
-//! all default from that one value (see [`CelesteConfig`]); the legacy
-//! per-layer knobs (`CampaignConfig::n_nodes`, `process_region`'s
-//! `n_threads`) are derived from it rather than duplicating it.
+//! The Cyclades batch width and the prefetcher pool derive from that
+//! one value, and so does the campaign node count unless
+//! [`CelesteBuilder::n_nodes`] overrides it (see [`CelesteConfig`]);
+//! the legacy per-layer knobs (`CampaignConfig::n_nodes`,
+//! `process_region`'s `n_threads`) are derived from it rather than
+//! duplicating it.
 //!
 //! # Quickstart
 //!

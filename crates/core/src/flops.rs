@@ -4,23 +4,16 @@
 //! at runtime and multiplying by a per-visit FLOP cost measured once
 //! offline. Here the per-visit cost is measured with the op-counting
 //! float ([`celeste_ad::Counting`]) run through the generic ELBO path
-//! (see `celeste-bench`), and visits are counted with a process-wide
-//! atomic that the likelihood kernels bump.
+//! (see `celeste-bench`), and visits are counted per thread: the
+//! likelihood kernels bump the recording thread's count.
 //!
-//! Because the counter is process-wide, an exact count means something
-//! only when nothing else in the process evaluates the likelihood at
-//! the same time: its test lives alone in `tests/visits.rs` (its own
-//! process), and two campaigns run concurrently in one process still
-//! reset and inflate each other's count. Each visit is also counted on
-//! the recording thread ([`thread_visits`]), which is exact for work
-//! done on one thread whatever else runs; scoping the count of a
-//! multi-threaded campaign to its caller is open work (the
-//! observability item in `ROADMAP.md`).
+//! A fit runs on one thread, so the difference of [`thread_visits`]
+//! taken around it is exactly that fit's count, whatever else runs in
+//! the process. `celeste-sched` sums these differences into each
+//! region's statistics and each campaign's report, so two campaigns
+//! in one process each count only their own visits.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
-
-static ACTIVE_PIXEL_VISITS: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static THREAD_VISITS: Cell<u64> = const { Cell::new(0) };
@@ -29,18 +22,7 @@ thread_local! {
 /// Record `n` active-pixel visits (called by the likelihood kernels).
 #[inline]
 pub fn record_visits(n: u64) {
-    ACTIVE_PIXEL_VISITS.fetch_add(n, Ordering::Relaxed);
     THREAD_VISITS.with(|c| c.set(c.get() + n));
-}
-
-/// Total visits since process start / last reset.
-pub fn visits() -> u64 {
-    ACTIVE_PIXEL_VISITS.load(Ordering::Relaxed)
-}
-
-/// Zero the counter (benchmarks bracket runs with this).
-pub fn reset_visits() {
-    ACTIVE_PIXEL_VISITS.store(0, Ordering::Relaxed);
 }
 
 /// Visits recorded on the calling thread since it started / its last
@@ -49,7 +31,7 @@ pub fn thread_visits() -> u64 {
     THREAD_VISITS.with(Cell::get)
 }
 
-/// Zero the calling thread's count (the process-wide one is untouched).
+/// Zero the calling thread's count.
 pub fn reset_thread_visits() {
     THREAD_VISITS.with(|c| c.set(0));
 }
@@ -66,9 +48,6 @@ pub const OBJECTIVE_OVERHEAD_FACTOR: f64 = 1.375;
 mod tests {
     use super::*;
 
-    /// On the per-thread count: other tests running concurrently in
-    /// this process bump the process-wide one (that is checked alone in
-    /// `tests/visits.rs`).
     #[test]
     fn counter_accumulates_and_resets() {
         reset_thread_visits();

@@ -20,15 +20,18 @@ use celeste_survey::render::source_gmm_pix;
 use celeste_survey::Image;
 use std::sync::Arc;
 
+/// Active-pixel radius in units of the source's support sigma.
+pub const ACTIVE_NSIGMA: f64 = 3.5;
+/// Active-pixel radius clamp, pixels: the lower bound.
+pub const MIN_RADIUS_PX: f64 = 4.0;
+/// Active-pixel radius clamp, pixels: the upper bound (also the
+/// margin past an image's edge within which a source still reads it).
+pub const MAX_RADIUS_PX: f64 = 20.0;
+
 /// Inference configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct FitConfig {
     pub newton: NewtonConfig,
-    /// Active-pixel radius in units of the source's support sigma.
-    pub active_nsigma: f64,
-    /// Active-pixel radius clamp, pixels.
-    pub min_radius_px: f64,
-    pub max_radius_px: f64,
     /// Block-coordinate-ascent passes over a region.
     pub bca_passes: usize,
     /// Whether to refresh position/shape uncertainty scales from the
@@ -48,9 +51,6 @@ impl Default for FitConfig {
     fn default() -> Self {
         FitConfig {
             newton: NewtonConfig::default(),
-            active_nsigma: 3.5,
-            min_radius_px: 4.0,
-            max_radius_px: 20.0,
             bca_passes: 2,
             laplace_scales: true,
             cull_tol: 1e-9,
@@ -116,7 +116,7 @@ impl SourceProblem {
         let shape = source.shape();
         for img in images {
             let center0 = img.wcs.sky_to_pix(&source.base_pos);
-            let margin = cfg.max_radius_px;
+            let margin = MAX_RADIUS_PX;
             if center0[0] < -margin
                 || center0[1] < -margin
                 || center0[0] > img.width as f64 + margin
@@ -133,9 +133,8 @@ impl SourceProblem {
                 .fold(0.0_f64, f64::max);
             let px_per_arcsec = 1.0 / img.wcs.pixel_scale_arcsec();
             let gal_sigma = shape.radius_arcsec * px_per_arcsec;
-            let radius = (cfg.active_nsigma
-                * (psf_sigma * psf_sigma + gal_sigma * gal_sigma).sqrt())
-            .clamp(cfg.min_radius_px, cfg.max_radius_px);
+            let radius = (ACTIVE_NSIGMA * (psf_sigma * psf_sigma + gal_sigma * gal_sigma).sqrt())
+                .clamp(MIN_RADIUS_PX, MAX_RADIUS_PX);
 
             let (xs, ys) = img.clip_box(
                 center0[0] - radius,

@@ -156,14 +156,6 @@ impl SourceParams {
         [s, 1.0 - s]
     }
 
-    /// Posterior mean reference-band flux for type `t`:
-    /// `E[lognormal] = exp(μ + σ²/2)`.
-    pub fn flux_mean(&self, t: usize) -> f64 {
-        let mu = self.params[ids::r_mu(t)];
-        let sd = self.params[ids::r_lsd(t)].exp();
-        (mu + 0.5 * sd * sd).exp()
-    }
-
     /// Posterior sd of reference-band flux for type `t`.
     pub fn flux_sd(&self, t: usize) -> f64 {
         let mu = self.params[ids::r_mu(t)];

@@ -1,11 +1,9 @@
-//! The active-pixel visit counter (`celeste_core::flops`) is one
-//! process-wide atomic that every likelihood evaluation bumps, so an
-//! exact count is only meaningful where nothing else evaluates the
-//! likelihood at the same time. This file is its own test binary
-//! (its own process) with a single `#[test]`, so the assertions below
-//! see only their own visits.
+//! The active-pixel visit counter (`celeste_core::flops`) counts per
+//! thread: every likelihood evaluation bumps the count of the thread
+//! it runs on, so the assertions below see only their own visits
+//! whatever else runs in this process.
 
-use celeste_core::flops::{record_visits, reset_visits, visits};
+use celeste_core::flops::{record_visits, reset_thread_visits, thread_visits};
 use celeste_core::likelihood::{likelihood_value, ActivePixel, ImageBlock};
 use celeste_core::SourceParams;
 use celeste_survey::catalog::{CatalogEntry, GalaxyShape, SourceType};
@@ -40,12 +38,12 @@ fn block() -> ImageBlock {
 #[test]
 fn visit_counter_counts_pixels_and_resets() {
     // Raw accumulate and reset.
-    reset_visits();
+    reset_thread_visits();
     record_visits(10);
     record_visits(32);
-    assert_eq!(visits(), 42);
-    reset_visits();
-    assert_eq!(visits(), 0);
+    assert_eq!(thread_visits(), 42);
+    reset_thread_visits();
+    assert_eq!(thread_visits(), 0);
 
     // One likelihood evaluation visits each active pixel once.
     let entry = CatalogEntry {
@@ -62,7 +60,7 @@ fn visit_counter_counts_pixels_and_resets() {
         },
     };
     let params = SourceParams::init_from_entry(&entry).params;
-    reset_visits();
+    reset_thread_visits();
     likelihood_value(&params, &[block()]);
-    assert_eq!(visits(), 81);
+    assert_eq!(thread_visits(), 81);
 }

@@ -273,16 +273,6 @@ impl SymEigen {
         self.values[0]
     }
 
-    /// Project `x` onto the eigenbasis: returns `Vᵀ x`.
-    pub fn to_eigenbasis(&self, x: &[f64]) -> Vec<f64> {
-        self.vectors.t_matvec(x)
-    }
-
-    /// Map eigenbasis coordinates back: returns `V y`.
-    pub fn from_eigenbasis(&self, y: &[f64]) -> Vec<f64> {
-        self.vectors.matvec(y)
-    }
-
     /// Rebuild `V diag(f(λ)) Vᵀ` — used for the modified-Newton PSD
     /// projection (flip/floor negative curvature).
     pub fn rebuild_with(&self, f: impl Fn(f64) -> f64) -> Mat {
@@ -356,7 +346,7 @@ mod tests {
         let a = sym_test_matrix(9);
         let e = SymEigen::new(&a);
         let x: Vec<f64> = (0..9).map(|i| (i as f64).sin()).collect();
-        let back = e.from_eigenbasis(&e.to_eigenbasis(&x));
+        let back = e.vectors().matvec(&e.vectors().t_matvec(&x));
         for (p, q) in back.iter().zip(&x) {
             assert!((p - q).abs() < 1e-12);
         }

@@ -2,16 +2,15 @@
 //! Small dense linear algebra for Celeste.
 //!
 //! The Celeste optimizer (paper §IV-D) runs Newton's method with a trust
-//! region on 44-parameter blocks, which requires, per iteration, one
-//! symmetric eigendecomposition and several Cholesky factorizations of
-//! dense 44×44 matrices. This crate provides exactly those kernels, built
-//! from scratch (the paper used MKL/Julia stdlib; see DESIGN.md S3):
+//! region on 44-parameter blocks. The paper takes each step with one
+//! symmetric eigendecomposition and several Cholesky factorizations;
+//! this port solves the trust-region subproblem with the eigenbasis
+//! alone (Moré–Sorensen on the secular equation), so the crate
+//! provides exactly these kernels, built from scratch (the paper used
+//! MKL/Julia stdlib):
 //!
 //! * [`Mat`] — a row-major dense matrix with the handful of BLAS-like
 //!   operations the rest of the workspace needs,
-//! * [`Cholesky`] — SPD factorization, solves, log-determinant, inverse
-//!   (refactor in place via [`Cholesky::factor_into`]),
-//! * [`Ldlt`] — unpivoted LDLᵀ for symmetric quasi-definite systems,
 //! * [`SymEigen`] / [`EigenWorkspace`] — cyclic Jacobi eigensolver
 //!   (always converges for symmetric input, no LAPACK dependency);
 //!   the workspace form reuses all storage across decompositions,
@@ -19,8 +18,8 @@
 //!   Moré–Sorensen-style trust-region subproblem solver used by the
 //!   nonconvex Newton optimizer; the `_with` form solves into a
 //!   caller-owned [`TrWorkspace`] with zero heap allocation,
-//! * [`lstsq`] / [`nnls`] — (nonnegative) linear least squares used for
-//!   galaxy-profile mixture fitting and PSF calibration,
+//! * [`nnls`] — nonnegative linear least squares used for
+//!   galaxy-profile mixture fitting,
 //! * [`fused`] — the fused-multiply-add strategy trait and the
 //!   process-global `avx2,fma` runtime dispatch every hand-vectorized
 //!   kernel in the workspace routes through (plus the
@@ -30,7 +29,6 @@
 //! O(n³) dense and optimized for clarity plus cache-friendly row-major
 //! traversal, not for large-scale BLAS3 throughput.
 
-mod chol;
 mod eigen;
 pub mod fused;
 mod lstsq;
@@ -38,35 +36,7 @@ mod mat;
 mod tr;
 pub mod vecops;
 
-pub use chol::{Cholesky, Ldlt};
 pub use eigen::{EigenWorkspace, SymEigen};
-pub use lstsq::{lstsq, lstsq_ridge, nnls};
+pub use lstsq::nnls;
 pub use mat::Mat;
 pub use tr::{solve_tr_subproblem, solve_tr_subproblem_with, TrInfo, TrSolution, TrWorkspace};
-
-/// Errors produced by factorizations when their input assumptions fail.
-#[derive(Debug, Clone, PartialEq)]
-pub enum LinalgError {
-    /// Matrix is not positive definite (Cholesky pivot ≤ 0 at `pivot`).
-    NotPositiveDefinite { pivot: usize },
-    /// Matrix is numerically singular.
-    Singular { pivot: usize },
-    /// Dimensions of the operands do not match.
-    DimensionMismatch { expected: usize, got: usize },
-}
-
-impl std::fmt::Display for LinalgError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            LinalgError::NotPositiveDefinite { pivot } => {
-                write!(f, "matrix not positive definite (pivot {pivot})")
-            }
-            LinalgError::Singular { pivot } => write!(f, "matrix singular (pivot {pivot})"),
-            LinalgError::DimensionMismatch { expected, got } => {
-                write!(f, "dimension mismatch: expected {expected}, got {got}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for LinalgError {}

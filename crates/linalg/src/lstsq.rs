@@ -1,45 +1,14 @@
-//! Linear least squares and nonnegative least squares.
+//! Nonnegative linear least squares.
 
-use crate::{Cholesky, Mat};
-
-/// Solve `min_x ‖A x − b‖²` via the normal equations with a tiny
-/// Tikhonov jitter for rank-deficiency robustness.
-///
-/// Used for PSF calibration fits and WCS plate solutions where `A` has
-/// at most a few dozen columns.
-pub fn lstsq(a: &Mat, b: &[f64]) -> Vec<f64> {
-    lstsq_ridge(a, b, 0.0)
-}
-
-/// Ridge-regularized least squares `min_x ‖Ax − b‖² + ridge·‖x‖²`.
-pub fn lstsq_ridge(a: &Mat, b: &[f64], ridge: f64) -> Vec<f64> {
-    assert_eq!(a.rows(), b.len(), "lstsq: row/rhs mismatch");
-    let ata = a.t().matmul(a);
-    let atb = a.t_matvec(b);
-    let mut m = ata;
-    // Scale-aware jitter keeps the Cholesky factorization alive for
-    // nearly-collinear designs without visibly biasing the solution.
-    let jitter = ridge + 1e-12 * m.max_abs().max(1.0);
-    m.shift_diag(jitter);
-    match Cholesky::new(&m) {
-        Ok(ch) => ch.solve(&atb),
-        Err(_) => {
-            // Heavier jitter as a last resort.
-            m.shift_diag(1e-6 * m.max_abs().max(1.0));
-            Cholesky::new(&m)
-                .expect("jittered normal equations must be SPD")
-                .solve(&atb)
-        }
-    }
-}
+use crate::Mat;
 
 /// Nonnegative least squares `min_{x ≥ 0} ‖A x − b‖²` by cyclic
 /// coordinate descent on the normal equations.
 ///
 /// Used to fit the Gaussian-mixture approximations of the exponential
-/// and de Vaucouleurs galaxy profiles (DESIGN.md S5), where amplitudes
-/// must be nonnegative. Coordinate descent on NNLS converges globally
-/// for this convex problem; `max_iters` bounds work.
+/// and de Vaucouleurs galaxy profiles, where amplitudes must be
+/// nonnegative. Coordinate descent on NNLS converges globally for this
+/// convex problem; `max_iters` bounds work.
 pub fn nnls(a: &Mat, b: &[f64], max_iters: usize) -> Vec<f64> {
     assert_eq!(a.rows(), b.len(), "nnls: row/rhs mismatch");
     let n = a.cols();
@@ -74,48 +43,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn lstsq_exact_on_square_system() {
-        let a = Mat::from_rows(2, 2, &[1.0, 2.0, 3.0, 4.0]);
-        let x_true = [0.5, -1.5];
-        let b = a.matvec(&x_true);
-        let x = lstsq(&a, &b);
-        for (xi, ti) in x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-8);
-        }
-    }
-
-    #[test]
-    fn lstsq_overdetermined_projects() {
-        // Fit a line y = 2x + 1 through noise-free samples.
-        let xs = [0.0, 1.0, 2.0, 3.0, 4.0];
-        let a = Mat::from_fn(5, 2, |i, j| if j == 0 { 1.0 } else { xs[i] });
-        let b: Vec<f64> = xs.iter().map(|&x| 2.0 * x + 1.0).collect();
-        let coef = lstsq(&a, &b);
-        assert!((coef[0] - 1.0).abs() < 1e-8);
-        assert!((coef[1] - 2.0).abs() < 1e-8);
-    }
-
-    #[test]
-    fn lstsq_survives_collinear_design() {
-        // Two identical columns: rank deficient; must not panic.
-        let a = Mat::from_fn(6, 2, |i, _| i as f64 + 1.0);
-        let b: Vec<f64> = (0..6).map(|i| 3.0 * (i as f64 + 1.0)).collect();
-        let coef = lstsq(&a, &b);
-        // The sum of coefficients must reproduce the slope.
-        assert!((coef[0] + coef[1] - 3.0).abs() < 1e-4);
-    }
-
-    #[test]
     fn nnls_matches_lstsq_when_unconstrained_nonneg() {
+        // b = A·x* with x* > 0: the unconstrained minimizer is already
+        // feasible, so NNLS must recover it.
         let a = Mat::from_rows(3, 2, &[1.0, 0.0, 0.0, 1.0, 1.0, 1.0]);
-        let b = [1.0, 2.0, 3.0];
-        let free = lstsq(&a, &b);
-        assert!(
-            free.iter().all(|&v| v >= 0.0),
-            "test premise: solution nonneg"
-        );
-        let con = nnls(&a, &b, 1000);
-        for (p, q) in free.iter().zip(&con) {
+        let x_star = [1.0, 2.0];
+        let b = a.matvec(&x_star);
+        let x = nnls(&a, &b, 1000);
+        for (p, q) in x.iter().zip(&x_star) {
             assert!((p - q).abs() < 1e-6);
         }
     }

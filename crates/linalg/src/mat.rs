@@ -1,7 +1,5 @@
 //! Dense row-major matrix type.
 
-use crate::LinalgError;
-
 /// A dense, row-major, heap-allocated `f64` matrix.
 ///
 /// This is deliberately minimal: Celeste's matrices are small (the
@@ -287,60 +285,6 @@ impl Mat {
             }
         }
     }
-
-    /// Gaussian elimination with partial pivoting: solve `self · x = b`.
-    ///
-    /// General-purpose fallback for non-symmetric systems (WCS inversion,
-    /// small calibration fits). Prefer [`crate::Cholesky`] for SPD input.
-    pub fn solve(&self, b: &[f64]) -> Result<Vec<f64>, LinalgError> {
-        assert_eq!(self.rows, self.cols, "solve: matrix must be square");
-        if b.len() != self.rows {
-            return Err(LinalgError::DimensionMismatch {
-                expected: self.rows,
-                got: b.len(),
-            });
-        }
-        let n = self.rows;
-        let mut a = self.clone();
-        let mut x = b.to_vec();
-        for k in 0..n {
-            // Partial pivot.
-            let (piv, pmax) = (k..n)
-                .map(|i| (i, a[(i, k)].abs()))
-                .fold((k, -1.0), |acc, it| if it.1 > acc.1 { it } else { acc });
-            if pmax <= f64::EPSILON * a.max_abs().max(1.0) {
-                return Err(LinalgError::Singular { pivot: k });
-            }
-            if piv != k {
-                for j in 0..n {
-                    let tmp = a[(k, j)];
-                    a[(k, j)] = a[(piv, j)];
-                    a[(piv, j)] = tmp;
-                }
-                x.swap(k, piv);
-            }
-            let akk = a[(k, k)];
-            for i in (k + 1)..n {
-                let f = a[(i, k)] / akk;
-                if f == 0.0 {
-                    continue;
-                }
-                a[(i, k)] = 0.0;
-                for j in (k + 1)..n {
-                    a[(i, j)] -= f * a[(k, j)];
-                }
-                x[i] -= f * x[k];
-            }
-        }
-        for i in (0..n).rev() {
-            let mut s = x[i];
-            for j in (i + 1)..n {
-                s -= a[(i, j)] * x[j];
-            }
-            x[i] = s / a[(i, i)];
-        }
-        Ok(x)
-    }
 }
 
 impl std::ops::Index<(usize, usize)> for Mat {
@@ -418,34 +362,6 @@ mod tests {
         let v = [0.5, 1.5, -2.0, 3.0];
         let direct = a.t().matvec(&v);
         assert_eq!(a.t_matvec(&v), direct);
-    }
-
-    #[test]
-    fn solve_recovers_solution() {
-        let a = Mat::from_rows(3, 3, &[4.0, 1.0, 0.0, 1.0, 3.0, 1.0, 0.0, 1.0, 2.0]);
-        let x_true = [1.0, -2.0, 0.5];
-        let b = a.matvec(&x_true);
-        let x = a.solve(&b).unwrap();
-        for (xi, ti) in x.iter().zip(&x_true) {
-            assert!((xi - ti).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn solve_detects_singular() {
-        let a = Mat::from_rows(2, 2, &[1.0, 2.0, 2.0, 4.0]);
-        assert!(matches!(
-            a.solve(&[1.0, 1.0]),
-            Err(LinalgError::Singular { .. })
-        ));
-    }
-
-    #[test]
-    fn solve_needs_pivoting() {
-        // Zero top-left pivot: fails without partial pivoting.
-        let a = Mat::from_rows(2, 2, &[0.0, 1.0, 1.0, 0.0]);
-        let x = a.solve(&[2.0, 3.0]).unwrap();
-        assert_eq!(x, vec![3.0, 2.0]);
     }
 
     #[test]

@@ -187,15 +187,6 @@ pub fn aperture_flux_nmgy(img: &Image, bg: &Background, pos: &SkyCoord, r_px: f6
     aperture_counts(img, bg, pos, r_px) / img.nmgy_to_counts
 }
 
-/// Fraction of a point source's flux enclosed by a circular aperture
-/// of radius `r_px`: `Σ w_c (1 − e^{−r²/2σ_c²})` over the PSF mixture.
-/// Dividing aperture fluxes by this is the standard *aperture
-/// correction*; without it every Photo flux carries a correlated
-/// wing-loss bias that contaminates coadd-derived ground truth.
-pub fn psf_aperture_fraction(psf: &celeste_survey::psf::Psf, r_px: f64) -> f64 {
-    model_aperture_fraction(psf, 0.0, r_px)
-}
-
 /// Enclosed-flux fraction for a Gaussian object of per-axis variance
 /// `obj_var_px2` convolved with the PSF mixture — the correction Photo
 /// uses for its model photometry on extended sources.

@@ -65,7 +65,7 @@ use crate::fault::FaultPlan;
 use crate::lease::{
     Acquire, Clock, FailedRegion, RegionError, RetryPolicy, SystemClock, TaskLedger,
 };
-use crate::partition::RegionTask;
+use crate::partition::{fixed_neighbor_indices, RegionTask};
 use crate::runtime::{process_region, RegionStats};
 use celeste_core::{FitConfig, ModelPriors, SourceParams};
 use celeste_survey::bands::Band;
@@ -146,8 +146,11 @@ pub struct RegionProvenance {
 /// Bit-exact hash of every [`FitConfig`] knob that can change a fit's
 /// result. Part of a region's [`RegionProvenance`]: a re-run with a
 /// different configuration must never reuse cached shard results.
+/// The active-pixel constants keep their place in the fold, so keys
+/// match those of builds where they were configurable.
 pub fn fit_config_hash(fit: &FitConfig) -> u64 {
     use crate::fault::mix64;
+    use celeste_core::infer::{ACTIVE_NSIGMA, MAX_RADIUS_PX, MIN_RADIUS_PX};
     let mut acc = 0x5EED_CA7A_106D_0001u64;
     for bits in [
         fit.newton.max_iters as u64,
@@ -155,9 +158,9 @@ pub fn fit_config_hash(fit: &FitConfig) -> u64 {
         fit.newton.f_tol.to_bits(),
         fit.newton.initial_radius.to_bits(),
         fit.newton.max_radius.to_bits(),
-        fit.active_nsigma.to_bits(),
-        fit.min_radius_px.to_bits(),
-        fit.max_radius_px.to_bits(),
+        ACTIVE_NSIGMA.to_bits(),
+        MIN_RADIUS_PX.to_bits(),
+        MAX_RADIUS_PX.to_bits(),
         fit.bca_passes as u64,
         fit.laplace_scales as u64,
         fit.cull_tol.to_bits(),
@@ -240,12 +243,10 @@ pub struct CampaignConfig {
     /// executor).
     pub n_nodes: usize,
     /// Cyclades batch width per node (component lists per batch;
-    /// actual parallelism is bounded by the executor pool).
+    /// actual parallelism is bounded by the executor pool). The
+    /// prefetcher's I/O pool, shared across nodes (the Burst Buffer),
+    /// is `threads_per_node.max(2)` threads.
     pub threads_per_node: usize,
-    /// Prefetcher I/O threads (shared across nodes — the Burst Buffer).
-    pub prefetch_workers: usize,
-    /// Dtree fanout.
-    pub dtree_fanout: usize,
     pub fit: FitConfig,
     /// Lease/retry/backoff policy for region tasks. The lease timeout
     /// must comfortably exceed the slowest task's duration; the
@@ -265,8 +266,6 @@ impl Default for CampaignConfig {
         CampaignConfig {
             n_nodes: threads.min(2),
             threads_per_node: threads,
-            prefetch_workers: threads.max(2),
-            dtree_fanout: 4,
             fit: FitConfig::default(),
             retry: RetryPolicy::default(),
             faults: None,
@@ -289,7 +288,10 @@ pub struct CampaignReport {
     pub task_works: Vec<f64>,
     /// Per-image blocking-load durations, seconds.
     pub image_load_durations: Vec<f64>,
-    /// Active-pixel visits during the run.
+    /// Active-pixel visits of this campaign's own fits, summed over
+    /// every attempt whose fit returned (including attempts whose
+    /// commit was then refused); restored regions add none. Another
+    /// campaign running in the same process does not touch it.
     pub active_pixel_visits: u64,
     /// Regions that exhausted their retry budget and were quarantined,
     /// with the error chain of every failed attempt. Their sources
@@ -401,6 +403,7 @@ struct NodeOutcome {
     loads: Vec<f64>,
     n_tasks: usize,
     n_sources: usize,
+    visits: u64,
 }
 
 /// Periodic checkpoint writer shared by the node loops: accumulates
@@ -529,7 +532,6 @@ pub fn run_campaign_with(
 ) -> Result<(Vec<SourceParams>, CampaignReport), CampaignError> {
     validate_plan(init_catalog, tasks, cfg)?;
     let t_campaign = Instant::now();
-    celeste_core::flops::reset_visits();
 
     let sink = options.sink;
     let config_hash = fit_config_hash(&cfg.fit);
@@ -589,7 +591,7 @@ pub fn run_campaign_with(
         )),
         _ => store.clone(),
     };
-    let prefetcher = Arc::new(Prefetcher::new(prefetch_store, cfg.prefetch_workers));
+    let prefetcher = Arc::new(Prefetcher::new(prefetch_store, cfg.threads_per_node.max(2)));
 
     let mut per_node = vec![ComponentTimes::default(); cfg.n_nodes];
     let mut task_durations = Vec::new();
@@ -601,6 +603,7 @@ pub fn run_campaign_with(
     let mut retries = 0u64;
     let mut leases_expired = 0u64;
     let mut stale_results = 0u64;
+    let mut active_pixel_visits = 0u64;
 
     // A checkpoint write failure is fatal: nodes stop at the next task
     // boundary and the stored error is returned.
@@ -643,7 +646,6 @@ pub fn run_campaign_with(
             meta,
             &pre_done,
             cfg.n_nodes,
-            cfg.dtree_fanout,
             cfg.retry,
             Arc::clone(&clock),
         ));
@@ -686,6 +688,7 @@ pub fn run_campaign_with(
                         loads: Vec::new(),
                         n_tasks: 0,
                         n_sources: 0,
+                        visits: 0,
                     };
                     let mut first_task = true;
 
@@ -766,20 +769,10 @@ pub fn run_campaign_with(
                             .iter()
                             .map(|&i| table[&id_of[i]].clone())
                             .collect();
-                        let neighbor_rect = task.rect.padded(15.0 / 3600.0);
-                        let neighbor_ids: Vec<u64> = init_catalog
-                            .entries
-                            .iter()
-                            .enumerate()
-                            .filter(|(i, e)| {
-                                !task.source_indices.contains(i) && neighbor_rect.contains(&e.pos)
-                            })
-                            .map(|(_, e)| e.id)
-                            .collect();
-                        let neighbors: Vec<SourceParams> = neighbor_ids
-                            .iter()
-                            .filter_map(|id| table.get(id).cloned())
-                            .collect();
+                        let neighbors: Vec<SourceParams> =
+                            fixed_neighbor_indices(task, init_catalog)
+                                .filter_map(|i| table.get(&id_of[i]).cloned())
+                                .collect();
                         out.comp.other += t1.elapsed().as_secs_f64();
 
                         // Injected straggler: stall before compute.
@@ -821,7 +814,10 @@ pub fn run_campaign_with(
                             }));
                         let dt = t2.elapsed().as_secs_f64();
                         let region_stats = match fit_outcome {
-                            Ok(stats) => stats,
+                            Ok(stats) => {
+                                out.visits += stats.active_pixel_visits;
+                                stats
+                            }
                             Err(payload) => {
                                 for k in &keys {
                                     prefetcher.evict(k);
@@ -919,6 +915,7 @@ pub fn run_campaign_with(
             image_load_durations.extend(out.loads);
             tasks_completed += out.n_tasks;
             sources_optimized += out.n_sources;
+            active_pixel_visits += out.visits;
         }
         failed_regions.extend(ledger.failed_regions());
         let stats = ledger.stats();
@@ -965,7 +962,7 @@ pub fn run_campaign_with(
         task_durations,
         task_works,
         image_load_durations,
-        active_pixel_visits: celeste_core::flops::visits(),
+        active_pixel_visits,
         failed_regions,
         retries,
         leases_expired,
@@ -1028,7 +1025,6 @@ mod tests {
                 &PartitionConfig {
                     target_work: 600.0,
                     max_sources: 40,
-                    ..Default::default()
                 },
             );
             assert!(tasks.len() >= 2, "want multiple tasks, got {}", tasks.len());
@@ -1143,6 +1139,34 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Each campaign counts only its own fits' pixel visits: two
+    /// campaigns started together on two threads report exactly what
+    /// each reports when run alone.
+    #[test]
+    fn concurrent_campaigns_each_count_their_own_visits() {
+        let a = Fixture::new("visits-a");
+        let mut b = Fixture::new("visits-b");
+        for e in &mut b.init.entries {
+            e.flux_r_nmgy *= 1.2;
+        }
+        let visits = |fx: &Fixture, n_nodes| fx.run(n_nodes).unwrap().1.active_pixel_visits;
+        let alone = [visits(&a, 2), visits(&b, 1)];
+        assert!(alone.iter().all(|&v| v > 0), "{alone:?}");
+        let start = std::sync::Barrier::new(2);
+        let together = std::thread::scope(|s| {
+            let ta = s.spawn(|| {
+                start.wait();
+                visits(&a, 2)
+            });
+            let tb = s.spawn(|| {
+                start.wait();
+                visits(&b, 1)
+            });
+            [ta.join().unwrap(), tb.join().unwrap()]
+        });
+        assert_eq!(together, alone);
     }
 
     fn assert_invalid_plan(fx: &Fixture, n_nodes: usize, what: &str) {

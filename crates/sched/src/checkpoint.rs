@@ -234,6 +234,7 @@ fn decode_region(r: &mut Reader<'_>) -> Result<RegionResult, CodecError> {
         conflict_edges: r.u64()? as usize,
         active_pixels: r.u64()? as usize,
         graph_builds: r.u64()? as usize,
+        active_pixel_visits: 0,
     };
     let config_hash = r.u64()?;
     let n_keys = r.u32()? as usize;
@@ -291,6 +292,7 @@ mod tests {
                 conflict_edges: 7,
                 active_pixels: 9000,
                 graph_builds: 1,
+                active_pixel_visits: 0,
             },
             provenance: RegionProvenance {
                 image_keys: (0..task_id % 3)

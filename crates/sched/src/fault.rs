@@ -75,14 +75,6 @@ impl Default for FaultPlan {
 }
 
 impl FaultPlan {
-    /// Whether any fault can fire under this plan.
-    pub fn is_active(&self) -> bool {
-        self.io_error_rate > 0.0
-            || self.panic_rate > 0.0
-            || self.slow_rate > 0.0
-            || self.hang_rate > 0.0
-    }
-
     /// Whether attempt `attempt` of task `task_id` panics.
     pub fn should_panic(&self, task_id: u64, attempt: u32) -> bool {
         roll(self.seed, SALT_PANIC, task_id, attempt as u64) < self.panic_rate

@@ -267,6 +267,9 @@ pub struct TaskLedger {
 /// advances in bounded steps).
 const MAX_WAIT_TICK: Duration = Duration::from_millis(5);
 
+/// Fanout of the Dtree that distributes fresh tasks to nodes.
+const DTREE_FANOUT: usize = 4;
+
 impl TaskLedger {
     /// Build a ledger over `meta.len()` tasks, distributing the
     /// indices *not* in `pre_done` (a resumed checkpoint's completed
@@ -275,7 +278,6 @@ impl TaskLedger {
         meta: Vec<(u64, u8)>,
         pre_done: &[usize],
         n_nodes: usize,
-        dtree_fanout: usize,
         policy: RetryPolicy,
         clock: Arc<dyn Clock>,
     ) -> TaskLedger {
@@ -289,7 +291,7 @@ impl TaskLedger {
             .collect();
         let unsettled = fresh.len();
         TaskLedger {
-            dtree: Dtree::new(n_nodes, dtree_fanout, fresh),
+            dtree: Dtree::new(n_nodes, DTREE_FANOUT, fresh),
             policy,
             clock,
             meta,
@@ -501,7 +503,7 @@ mod tests {
 
     fn ledger(n: usize, policy: RetryPolicy, clock: Arc<dyn Clock>) -> TaskLedger {
         let meta: Vec<(u64, u8)> = (0..n as u64).map(|i| (i, 0)).collect();
-        TaskLedger::new(meta, &[], 1, 4, policy, clock)
+        TaskLedger::new(meta, &[], 1, policy, clock)
     }
 
     #[test]
@@ -615,7 +617,7 @@ mod tests {
     fn pre_done_tasks_are_never_served() {
         let clock: Arc<dyn Clock> = Arc::new(VirtualClock::default());
         let meta: Vec<(u64, u8)> = (0..6u64).map(|i| (i, 0)).collect();
-        let lg = TaskLedger::new(meta, &[1, 4], 2, 4, RetryPolicy::default(), clock);
+        let lg = TaskLedger::new(meta, &[1, 4], 2, RetryPolicy::default(), clock);
         let mut served = Vec::new();
         for node in [0usize, 1] {
             loop {

@@ -51,6 +51,7 @@ pub use lease::{
     Clock, FailedRegion, RegionError, RetryPolicy, SystemClock, TaskLedger, VirtualClock,
 };
 pub use partition::{
-    partition_sky, try_partition_sky, PartitionConfig, PartitionError, RegionTask,
+    fixed_neighbor_indices, partition_sky, try_partition_sky, PartitionConfig, PartitionError,
+    RegionTask, NEIGHBOR_PAD_DEG,
 };
 pub use runtime::{process_region, RegionStats};

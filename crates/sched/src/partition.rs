@@ -32,8 +32,31 @@ pub struct PartitionConfig {
     /// Hard cap on sources per task (paper: "a typical task involves
     /// jointly optimizing roughly 500 light sources").
     pub max_sources: usize,
-    /// Shift (as a fraction of the mean region side) for stage 2.
-    pub stage2_shift: f64,
+}
+
+/// Shift of the stage-2 partition, as a fraction of the mean region
+/// side.
+const STAGE2_SHIFT: f64 = 0.5;
+
+/// Padding (degrees) around a region rect within which a campaign
+/// holds neighbor sources fixed (15″).
+pub const NEIGHBOR_PAD_DEG: f64 = 15.0 / 3600.0;
+
+/// A task's fixed neighbors: the indices of the initialization-catalog
+/// entries inside the task rect padded by [`NEIGHBOR_PAD_DEG`] that are
+/// not the task's own sources, in catalog order. The campaign holds
+/// exactly these fixed during the task's fit, and the store's
+/// provenance keys fold in exactly these.
+pub fn fixed_neighbor_indices<'a>(
+    task: &'a RegionTask,
+    init: &'a Catalog,
+) -> impl Iterator<Item = usize> + 'a {
+    let rect = task.rect.padded(NEIGHBOR_PAD_DEG);
+    init.entries
+        .iter()
+        .enumerate()
+        .filter(move |(i, e)| !task.source_indices.contains(i) && rect.contains(&e.pos))
+        .map(|(i, _)| i)
 }
 
 impl Default for PartitionConfig {
@@ -41,7 +64,6 @@ impl Default for PartitionConfig {
         PartitionConfig {
             target_work: 4000.0,
             max_sources: 500,
-            stage2_shift: 0.5,
         }
     }
 }
@@ -146,8 +168,8 @@ fn partition_sky_validated(
             tasks.iter().map(|t| t.rect.width_deg()).sum::<f64>() / tasks.len() as f64;
         let mean_h: f64 =
             tasks.iter().map(|t| t.rect.height_deg()).sum::<f64>() / tasks.len() as f64;
-        let dx = cfg.stage2_shift * mean_w;
-        let dy = cfg.stage2_shift * mean_h;
+        let dx = STAGE2_SHIFT * mean_w;
+        let dy = STAGE2_SHIFT * mean_h;
         let eps = 1e-12;
         let rects: Vec<SkyRect> = tasks
             .iter()
@@ -414,7 +436,6 @@ mod tests {
         let cfg = PartitionConfig {
             target_work: 1e12,
             max_sources: 100,
-            ..Default::default()
         };
         let tasks = partition_sky(&cat, &fp, &cfg);
         for t in &tasks {

@@ -34,6 +34,7 @@
 //! thread count.
 
 use crate::cyclades::{conflict_graph, overlap_radius_arcsec, sample_batches, ConflictGraph};
+use celeste_core::flops::thread_visits;
 use celeste_core::{
     fit_source_with, source_workspace, BuildScratch, FitConfig, ModelPriors, SourceParams,
     SourceProblem, SourceWorkspace,
@@ -55,6 +56,10 @@ pub struct RegionStats {
     /// Times the conflict graph was (re)built (once per region unless
     /// fitted positions/extents drift past the rebuild threshold).
     pub graph_builds: usize,
+    /// Active-pixel visits of this region's fits, counted on the
+    /// thread each fit ran on. Not stored in checkpoints: a restored
+    /// region reads 0.
+    pub active_pixel_visits: u64,
 }
 
 /// Per-source outcome written by a worker into its batch slot.
@@ -66,6 +71,7 @@ struct FitResult {
     source: Option<SourceParams>,
     newton_iters: usize,
     active_pixels: usize,
+    visits: u64,
 }
 
 /// Per-executor-worker fit state: one Newton evaluation workspace and
@@ -132,6 +138,8 @@ fn assemble_source(
 
 /// Fit stage of the pipeline: consumes an [`Assembled`], borrowing
 /// the executing worker's Newton workspace only while the solve runs.
+/// A fit runs on one thread, so the calling thread's visit count
+/// taken around it is exactly the fit's own.
 fn fit_assembled(idx: usize, assembled: Assembled, fit_cfg: &FitConfig) -> FitResult {
     let Assembled { mut sp, problem } = assembled;
     if problem.blocks.is_empty() {
@@ -140,14 +148,17 @@ fn fit_assembled(idx: usize, assembled: Assembled, fit_cfg: &FitConfig) -> FitRe
             source: None,
             newton_iters: 0,
             active_pixels: 0,
+            visits: 0,
         }
     } else {
+        let before = thread_visits();
         let fs = with_fit_state(|state| fit_source_with(&mut sp, &problem, fit_cfg, &mut state.ws));
         FitResult {
             idx,
             source: Some(sp),
             newton_iters: fs.newton.iterations,
             active_pixels: fs.active_pixels,
+            visits: thread_visits() - before,
         }
     }
 }
@@ -341,6 +352,7 @@ pub fn process_region(
                     stats.fits += 1;
                     stats.newton_iters += res.newton_iters;
                     stats.active_pixels += res.active_pixels;
+                    stats.active_pixel_visits += res.visits;
                 }
             }
         }

@@ -43,11 +43,6 @@ impl ServerHandle {
         self.addr
     }
 
-    /// Token that stops the accept loop and all handlers.
-    pub fn cancel_token(&self) -> CancelToken {
-        self.cancel.clone()
-    }
-
     /// Stop accepting, unblock every handler, and join all threads.
     /// Idempotent; also invoked by `Drop`.
     pub fn shutdown(&mut self) {

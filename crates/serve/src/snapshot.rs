@@ -1,6 +1,7 @@
 //! `SCST` v1 — cell-grouped catalog snapshots.
 //!
-//! A daemon periodically freezes its [`CatalogStore`] to one file so
+//! A daemon periodically freezes its
+//! [`CatalogStore`](celeste_store::CatalogStore) to one file so
 //! a restart serves the full catalog instantly, with zero refits, and
 //! so cold cells can be evicted from memory and faulted back in on
 //! demand. Format (little-endian, read through the checked
@@ -35,7 +36,7 @@
 //! wrote the file.
 
 use bytes::BufMut;
-use celeste_store::{catalog_content_hash, CatalogStore};
+use celeste_store::catalog_content_hash;
 use celeste_survey::catalog::{Catalog, CatalogEntry};
 use celeste_survey::codec::{
     put_entry, put_header, write_atomic, CodecError, Reader, Version, ENTRY_BYTES,
@@ -117,16 +118,11 @@ pub struct Snapshot {
 }
 
 impl Snapshot {
-    /// Freeze the current contents of `store`: every entry, grouped
-    /// by its cell at the store's level, fingerprinted.
-    pub fn of_store(store: &CatalogStore) -> Snapshot {
-        Snapshot::of_entries(store.to_catalog().entries, store.level())
-    }
-
     /// Group `entries` into cells at `level`, deduplicating by id
     /// (last write wins) and ordering ascending — the same
-    /// normalization [`CatalogStore::to_catalog`] applies, so the
-    /// fingerprint is deterministic regardless of input order.
+    /// normalization [`celeste_store::CatalogStore::to_catalog`]
+    /// applies, so the fingerprint is deterministic regardless of input
+    /// order.
     pub fn of_entries(entries: Vec<CatalogEntry>, level: u8) -> Snapshot {
         let mut by_id: BTreeMap<u64, CatalogEntry> = BTreeMap::new();
         for e in entries {

@@ -64,7 +64,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 
 use celeste_sched::fault::mix64;
-use celeste_sched::{RegionResult, RegionTask};
+use celeste_sched::{fixed_neighbor_indices, RegionResult, RegionTask};
 use celeste_survey::bands::Band;
 use celeste_survey::catalog::{Catalog, CatalogEntry, SourceType};
 use celeste_survey::io::ImageKey;
@@ -132,15 +132,11 @@ mod witness {
     }
 }
 
-/// Padding (degrees) around a region rect within which the campaign
-/// holds neighbor sources fixed (15″, mirroring the campaign's
-/// neighbor selection). Provenance keys must cover at least this
-/// footprint so a changed neighbor invalidates the cached fit.
-const NEIGHBOR_PAD_DEG: f64 = 15.0 / 3600.0;
-
 /// Dependency margin for stage-1 cache keys: strictly wider than
-/// [`NEIGHBOR_PAD_DEG`] so boundary sources are never missed.
+/// [`celeste_sched::NEIGHBOR_PAD_DEG`], the campaign's fixed-neighbor
+/// pad, so boundary sources are never missed.
 const STAGE_DEP_PAD_DEG: f64 = 16.0 / 3600.0;
+const _: () = assert!(STAGE_DEP_PAD_DEG > celeste_sched::NEIGHBOR_PAD_DEG);
 
 /// A query the store rejected before touching any shard.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -328,10 +324,6 @@ pub struct CatalogStore {
     /// Bumped once per sky query; cells record its value as their
     /// last-touch stamp (LRU by query touch for eviction policy).
     query_clock: AtomicU64,
-    /// Bumped on every content mutation (insert / take). Lets a
-    /// reader tell whether the content changed between two readings
-    /// without hashing it.
-    version: AtomicU64,
 }
 
 impl Default for CatalogStore {
@@ -354,20 +346,12 @@ impl CatalogStore {
             regions_ingested: AtomicU64::new(0),
             cache_hits: AtomicU64::new(0),
             query_clock: AtomicU64::new(0),
-            version: AtomicU64::new(0),
         }
     }
 
     /// The cell refinement level entries are indexed at.
     pub fn level(&self) -> u8 {
         self.level
-    }
-
-    /// Content version: bumped on every [`CatalogStore::insert`] (and
-    /// [`CatalogStore::take_cell`] removal). Two equal readings with
-    /// no writer in between mean the stored content did not change.
-    pub fn version(&self) -> u64 {
-        self.version.load(Ordering::Acquire)
     }
 
     fn shard_of(&self, cell: CellId) -> &RwLock<Shard> {
@@ -447,10 +431,6 @@ impl CatalogStore {
                 }
             }
         });
-        // Bumped strictly *after* the mutation is visible (all locks
-        // released), so a reader that observes version v also sees
-        // every mutation counted in v.
-        self.version.fetch_add(1, Ordering::AcqRel);
     }
 
     /// Insert `entry` only if no entry with its id is present.
@@ -462,7 +442,7 @@ impl CatalogStore {
     pub fn insert_if_absent(&self, entry: CatalogEntry) -> bool {
         let cell = CellId::of(&entry.pos, self.level);
         let id = entry.id;
-        let inserted = self.with_id_stripe(id, |idx| {
+        self.with_id_stripe(id, |idx| {
             if idx.contains_key(&id) {
                 return false;
             }
@@ -472,12 +452,7 @@ impl CatalogStore {
                 s.cells.entry(cell).or_default().entries.insert(id, entry);
             });
             true
-        });
-        if inserted {
-            // After the locks, for the same reason as in `insert`.
-            self.version.fetch_add(1, Ordering::AcqRel);
-        }
-        inserted
+        })
     }
 
     /// Remove and return every entry currently resident in `cell`, in
@@ -485,8 +460,7 @@ impl CatalogStore {
     /// spills the returned entries' cell to its snapshot file and
     /// reloads on demand. Entries concurrently moving *into* the cell
     /// stay; an id concurrently moved to a different cell is left
-    /// untouched. Bumps [`CatalogStore::version`] once when anything
-    /// was removed.
+    /// untouched.
     pub fn take_cell(&self, cell: CellId) -> Vec<CatalogEntry> {
         let ids: Vec<u64> = self.with_shard_read(self.shard_of(cell), |s| {
             s.cells
@@ -513,9 +487,6 @@ impl CatalogStore {
                     }
                 });
             });
-        }
-        if !out.is_empty() {
-            self.version.fetch_add(1, Ordering::AcqRel);
         }
         out
     }
@@ -1011,13 +982,10 @@ pub fn task_provenance_key(
             acc = fold(acc, entry_content_hash(e));
         }
     }
-    // Fixed neighbors, selected exactly as the campaign selects them.
-    let neighbor_rect = task.rect.padded(NEIGHBOR_PAD_DEG);
-    for (i, e) in init.entries.iter().enumerate() {
-        if !task.source_indices.contains(&i) && neighbor_rect.contains(&e.pos) {
-            acc = fold(acc, i as u64);
-            acc = fold(acc, entry_content_hash(e));
-        }
+    // Fixed neighbors: the campaign's own selection.
+    for i in fixed_neighbor_indices(task, init) {
+        acc = fold(acc, i as u64);
+        acc = fold(acc, entry_content_hash(&init.entries[i]));
     }
     for (field, band) in image_keys {
         acc = fold(acc, u64::from(field.run));
@@ -1467,31 +1435,6 @@ mod tests {
             assert!(store.insert_if_absent(e));
         }
         assert_eq!(store.len(), 3);
-    }
-
-    #[test]
-    fn version_tracks_content_mutation() {
-        let store = CatalogStore::default();
-        let v0 = store.version();
-        store.insert(entry(1, 10.0, 10.0, 1.0));
-        let v1 = store.version();
-        assert!(v1 > v0);
-        // Reads don't bump it.
-        store.get(1);
-        store.brightest_n(1, None);
-        store.stats();
-        assert_eq!(store.version(), v1);
-        // A refused insert_if_absent doesn't bump it either.
-        assert!(!store.insert_if_absent(entry(1, 20.0, 20.0, 9.0)));
-        assert_eq!(store.version(), v1);
-        // take_cell of a populated cell bumps exactly once; an empty
-        // take does not.
-        let cell = CellId::of(&SkyCoord::new(10.0, 10.0), store.level);
-        store.take_cell(cell);
-        let v2 = store.version();
-        assert_eq!(v2, v1 + 1);
-        store.take_cell(cell);
-        assert_eq!(store.version(), v2);
     }
 
     #[test]

@@ -39,11 +39,6 @@ impl Band {
         }
     }
 
-    /// Inverse of [`Band::index`]. Panics for `i ≥ 5`.
-    pub fn from_index(i: usize) -> Band {
-        Band::ALL[i]
-    }
-
     /// One-letter name.
     pub fn name(self) -> &'static str {
         match self {
@@ -107,7 +102,7 @@ mod tests {
     #[test]
     fn band_index_roundtrip() {
         for b in Band::ALL {
-            assert_eq!(Band::from_index(b.index()), b);
+            assert_eq!(Band::ALL[b.index()], b);
         }
     }
 

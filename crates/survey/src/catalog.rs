@@ -142,35 +142,6 @@ impl Catalog {
         bright.truncate(n);
         bright
     }
-
-    /// CSV export (one header plus one row per entry) — the human- and
-    /// plot-friendly output format.
-    pub fn to_csv(&self) -> String {
-        let mut s = String::from(
-            "id,ra,dec,type,flux_r_nmgy,c_ug,c_gr,c_ri,c_iz,frac_dev,axis_ratio,angle_rad,radius_arcsec\n",
-        );
-        for e in &self.entries {
-            use std::fmt::Write;
-            let _ = writeln!(
-                s,
-                "{},{:.8},{:.8},{},{:.6},{:.5},{:.5},{:.5},{:.5},{:.4},{:.4},{:.4},{:.4}",
-                e.id,
-                e.pos.ra,
-                e.pos.dec,
-                if e.is_star() { "star" } else { "galaxy" },
-                e.flux_r_nmgy,
-                e.colors[0],
-                e.colors[1],
-                e.colors[2],
-                e.colors[3],
-                e.shape.frac_dev,
-                e.shape.axis_ratio,
-                e.shape.angle_rad,
-                e.shape.radius_arcsec,
-            );
-        }
-        s
-    }
 }
 
 #[cfg(test)]
@@ -261,15 +232,5 @@ mod tests {
         let hits = cat.in_rect(&SkyRect::new(0.0, 1.0, 0.0, 1.0));
         assert_eq!(hits.len(), 1);
         assert_eq!(hits[0].id, 1);
-    }
-
-    #[test]
-    fn csv_has_header_and_rows() {
-        let cat = Catalog::new(vec![entry(7, 1.0, 2.0)]);
-        let csv = cat.to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 2);
-        assert!(lines[0].starts_with("id,ra,dec"));
-        assert!(lines[1].starts_with("7,"));
     }
 }

@@ -85,12 +85,6 @@ impl Image {
         self.wcs.pix_to_sky(x as f64 + 0.5, y as f64 + 0.5)
     }
 
-    /// Whether pixel coordinates (possibly fractional) are in bounds.
-    #[inline]
-    pub fn in_bounds(&self, x: f64, y: f64) -> bool {
-        x >= 0.0 && y >= 0.0 && x < self.width as f64 && y < self.height as f64
-    }
-
     /// Clip a bounding box `[x0, x1] × [y0, y1]` (fractional pixels) to
     /// the image and return integer pixel ranges `(xs..xe, ys..ye)`.
     pub fn clip_box(
@@ -105,17 +99,6 @@ impl Image {
         let xe = (x1.ceil().max(0.0) as usize).min(self.width);
         let ye = (y1.ceil().max(0.0) as usize).min(self.height);
         (xs..xe.max(xs), ys..ye.max(ys))
-    }
-
-    /// Total observed counts above the sky level (rough flux proxy).
-    pub fn total_excess_counts(&self) -> f64 {
-        self.pixels.iter().map(|&p| p as f64 - self.sky_level).sum()
-    }
-
-    /// Nominal per-image data volume in bytes (pixels only), used by the
-    /// I/O models.
-    pub fn nbytes(&self) -> usize {
-        self.pixels.len() * std::mem::size_of::<f32>()
     }
 }
 

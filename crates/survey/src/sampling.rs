@@ -136,13 +136,6 @@ pub fn categorical<R: Rng + ?Sized>(rng: &mut R, weights: &[f64]) -> usize {
     weights.len() - 1
 }
 
-/// Draw from `Beta(a, b)` via two Gamma draws (Marsaglia–Tsang).
-pub fn beta<R: Rng + ?Sized>(rng: &mut R, a: f64, b: f64) -> f64 {
-    let x = gamma(rng, a);
-    let y = gamma(rng, b);
-    x / (x + y)
-}
-
 /// Draw from `Gamma(shape, 1)` with the Marsaglia–Tsang squeeze method.
 pub fn gamma<R: Rng + ?Sized>(rng: &mut R, shape: f64) -> f64 {
     assert!(shape > 0.0);
@@ -240,16 +233,6 @@ mod tests {
         }
         assert!((counts[2] as f64 / 1e5 - 0.7).abs() < 0.01);
         assert!((counts[1] as f64 / 1e5 - 0.2).abs() < 0.01);
-    }
-
-    #[test]
-    fn beta_in_unit_interval_with_right_mean() {
-        let mut r = rng();
-        let n = 50_000;
-        let draws: Vec<f64> = (0..n).map(|_| beta(&mut r, 2.0, 5.0)).collect();
-        assert!(draws.iter().all(|&x| (0.0..=1.0).contains(&x)));
-        let mean = draws.iter().sum::<f64>() / n as f64;
-        assert!((mean - 2.0 / 7.0).abs() < 0.01, "mean {mean}");
     }
 
     #[test]

@@ -47,7 +47,6 @@ fn main() -> Result<(), celeste::CelesteError> {
         &PartitionConfig {
             target_work: 600.0,
             max_sources: 40,
-            ..Default::default()
         },
     );
     println!(
@@ -131,7 +130,6 @@ fn main() -> Result<(), celeste::CelesteError> {
         &PartitionConfig {
             target_work: 600.0,
             max_sources: 40,
-            ..Default::default()
         },
     );
     let partial = session.run_campaign_into_store(&survey, &store, &init2, &tasks2, &catalog)?;

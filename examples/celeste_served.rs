@@ -49,7 +49,6 @@ fn main() -> Result<(), celeste::CelesteError> {
         &PartitionConfig {
             target_work: 600.0,
             max_sources: 40,
-            ..Default::default()
         },
     );
     println!(

@@ -59,7 +59,6 @@ fn fixture(tag: &str) -> (SyntheticSurvey, ImageStore, Catalog, Vec<RegionTask>)
         &PartitionConfig {
             target_work: 600.0,
             max_sources: 40,
-            ..Default::default()
         },
     );
     assert!(tasks.len() >= 4, "want several tasks, got {}", tasks.len());
@@ -80,7 +79,6 @@ fn quick_cfg(n_nodes: usize, retry: RetryPolicy, faults: FaultPlan) -> CampaignC
         },
         retry,
         faults: Some(faults),
-        ..Default::default()
     }
 }
 

@@ -64,7 +64,6 @@ fn fixture(
         &PartitionConfig {
             target_work: 600.0,
             max_sources: 40,
-            ..Default::default()
         },
     );
     assert!(tasks.len() >= 4, "want several tasks, got {}", tasks.len());

@@ -114,6 +114,7 @@ fn checkpoint() -> Checkpoint {
             conflict_edges: 7,
             active_pixels: 9000,
             graph_builds: 1,
+            active_pixel_visits: 0,
         },
         provenance: RegionProvenance {
             image_keys: (0..n_keys)

@@ -137,6 +137,7 @@ fn sample_checkpoint(seed: u64) -> Checkpoint {
                     conflict_edges: 3,
                     active_pixels: 4096,
                     graph_builds: 1,
+                    active_pixel_visits: 0,
                 },
                 provenance: RegionProvenance {
                     image_keys: (0..h % 4)

@@ -133,7 +133,6 @@ fn campaign_matches_direct_region_processing() {
         &PartitionConfig {
             target_work: 500.0,
             max_sources: 30,
-            ..Default::default()
         },
     );
     let priors = ModelPriors::new(Priors::sdss_default());

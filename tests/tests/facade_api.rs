@@ -72,7 +72,6 @@ fn campaign_fixture(
         &PartitionConfig {
             target_work: 600.0,
             max_sources: 40,
-            ..Default::default()
         },
     );
     assert!(tasks.len() >= 2, "want multiple tasks, got {}", tasks.len());
@@ -394,10 +393,6 @@ fn non_finite_calibration_is_a_typed_error() {
 fn builder_rejects_invalid_knobs() {
     match Celeste::builder().threads(0).build() {
         Err(CelesteError::Config { field, .. }) => assert_eq!(field, "threads"),
-        other => panic!("want Config error, got {:?}", other.map(|_| ())),
-    }
-    match Celeste::builder().dtree_fanout(1).build() {
-        Err(CelesteError::Config { field, .. }) => assert_eq!(field, "dtree_fanout"),
         other => panic!("want Config error, got {:?}", other.map(|_| ())),
     }
     let bad_fit = FitConfig {

@@ -195,7 +195,6 @@ fn strong_scaling_efficiency_band() {
 fn flop_accounting_matches_between_real_and_simulated() {
     // Active-pixel visits measured by the real likelihood kernel drive
     // the Table I accounting; verify the counter wiring end to end.
-    celeste_core::flops::reset_visits();
     let report = celeste_bench::run_calibration_campaign(0xF10B);
     assert!(
         report.active_pixel_visits > 10_000,

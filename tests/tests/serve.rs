@@ -72,7 +72,6 @@ fn campaign_fixture(
         &PartitionConfig {
             target_work: 600.0,
             max_sources: 40,
-            ..Default::default()
         },
     );
     assert!(tasks.len() >= 2, "want multiple tasks, got {}", tasks.len());

@@ -17,6 +17,9 @@
 //! * Eviction order — `coldest_cells` picks the same cells, in the
 //!   same order, as ranking the whole per-cell table, over random
 //!   touch histories.
+//! * Pinned keys — the default fit-config hash and one small plan's
+//!   provenance keys keep their recorded values, so caches and
+//!   checkpoints written by earlier builds stay valid.
 
 use std::collections::HashSet;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -27,7 +30,8 @@ use celeste::{
 };
 use celeste_par::ThreadPool;
 use celeste_sched::{
-    partition_sky, run_campaign_with, stage_survey, PartitionConfig, RegionTask, RunOptions,
+    fit_config_hash, partition_sky, run_campaign_with, stage_survey, task_image_keys,
+    PartitionConfig, RegionTask, RunOptions,
 };
 use celeste_survey::bands::Band;
 use celeste_survey::catalog::{CatalogEntry, GalaxyShape, SourceType};
@@ -89,7 +93,6 @@ fn campaign_fixture(
         &PartitionConfig {
             target_work: 600.0,
             max_sources: 40,
-            ..Default::default()
         },
     );
     assert!(tasks.len() >= 2, "want multiple tasks, got {}", tasks.len());
@@ -549,4 +552,37 @@ fn store_ids_cover_exactly_the_initialization_catalog() {
     }
     drop(store);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The default fit configuration's hash and the provenance keys of the
+/// tiny survey's plan keep their recorded values: a change to either
+/// silently invalidates every provenance cache and checkpoint
+/// `config_hash` written before it.
+#[test]
+fn config_hash_and_provenance_keys_are_pinned() {
+    let salt = fit_config_hash(&FitConfig::default());
+    assert_eq!(salt, 0x3acf_c7fe_1152_de0c);
+    let survey = tiny_survey();
+    let tasks = partition_sky(
+        &survey.truth,
+        &survey.geometry.footprint,
+        &PartitionConfig {
+            target_work: 600.0,
+            max_sources: 40,
+        },
+    );
+    let keys =
+        celeste::plan_provenance_keys(&tasks, &survey.truth, salt, |t| task_image_keys(&survey, t));
+    let want: [u64; 9] = [
+        0xbdef_6d74_3054_1f9c,
+        0xdd33_50ca_99b9_fc84,
+        0xee60_779f_b8a5_2157,
+        0x9a29_dcf1_6b94_a227,
+        0x98e8_7c89_573f_a1db,
+        0xf365_f191_61c2_f8cc,
+        0x7a2d_ba09_3d76_aec1,
+        0x7cba_2c7b_9b22_8c21,
+        0x11ae_44c5_ad30_045a,
+    ];
+    assert_eq!(keys, want);
 }
