@@ -34,6 +34,7 @@
 //! Usage: `cargo run --release --bin hotpath_profile [out.json]`
 
 use celeste_core::bvn::{Appearance, RouteCounts};
+use celeste_core::infer::CULL_TOL;
 use celeste_core::likelihood::{
     add_likelihood_dense, add_likelihood_into, galaxy_geo, likelihood_value_into, LikScratch,
 };
@@ -101,15 +102,8 @@ fn main() {
         let mut star = Appearance::default();
         let mut gal = Appearance::default();
         for block in &problem.blocks {
-            star.prepare_star(&block.psf, block.center0, u, &block.jac, problem.cull_tol);
-            gal.prepare_galaxy(
-                &block.psf,
-                &geo,
-                block.center0,
-                u,
-                &block.jac,
-                problem.cull_tol,
-            );
+            star.prepare_star(&block.psf, block.center0, u, &block.jac, CULL_TOL);
+            gal.prepare_galaxy(&block.psf, &geo, block.center0, u, &block.jac, CULL_TOL);
             for px in &block.pixels {
                 routes.add(&star.route_counts(px.px, px.py));
                 routes.add(&gal.route_counts(px.px, px.py));
@@ -121,12 +115,7 @@ fn main() {
     // culling included).
     let mut lik_scratch = LikScratch::default();
     let value_s = time_per_call(40, 9, || {
-        likelihood_value_into(
-            &sp.params,
-            &problem.blocks,
-            &mut lik_scratch,
-            problem.cull_tol,
-        )
+        likelihood_value_into(&sp.params, &problem.blocks, &mut lik_scratch, CULL_TOL)
     });
 
     // Derivative path, dense baseline (pre-refactor accumulation).
@@ -148,7 +137,7 @@ fn main() {
             &mut grad,
             &mut hess,
             &mut lik_scratch,
-            problem.cull_tol,
+            CULL_TOL,
         )
     });
 
@@ -159,7 +148,7 @@ fn main() {
     let mut fits = 0u64;
     let fit_s = time_per_call(4, 7, || {
         let mut s = SourceParams::init_from_entry(entry);
-        let p = celeste_core::SourceProblem::build_with(&s, &refs, &[], &priors, &cfg, &mut build);
+        let p = celeste_core::SourceProblem::build_with(&s, &refs, &[], &priors, &mut build);
         fits += 1;
         celeste_core::fit_source_with(&mut s, &p, &cfg, &mut ws)
     });

@@ -16,11 +16,7 @@ fn main() {
     let priors = ModelPriors::new(Priors::sdss_default());
     let fit = FitConfig {
         bca_passes: 1,
-        newton: celeste_core::NewtonConfig {
-            max_iters: 10,
-            ..Default::default()
-        },
-        ..Default::default()
+        newton: celeste_core::NewtonConfig { max_iters: 10 },
     };
 
     let host_threads = std::thread::available_parallelism()

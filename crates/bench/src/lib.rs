@@ -297,11 +297,7 @@ pub fn run_calibration_campaign(seed: u64) -> CampaignReport {
         .n_nodes(2)
         .fit(FitConfig {
             bca_passes: 1,
-            newton: celeste_core::NewtonConfig {
-                max_iters: 15,
-                ..Default::default()
-            },
-            ..Default::default()
+            newton: celeste_core::NewtonConfig { max_iters: 15 },
         })
         .build()
         .expect("valid fit config");

@@ -2,14 +2,15 @@
 
 use crate::error::CelesteError;
 use celeste_core::{FitConfig, ModelPriors};
-use celeste_photo::PhotoConfig;
 use celeste_sched::{CampaignConfig, FaultPlan, RetryPolicy};
 use celeste_survey::Priors;
 
 /// The resolved, validated configuration a [`Session`](crate::Session)
 /// runs with. Built by [`CelesteBuilder`]; every derived legacy config
-/// ([`FitConfig`], [`PhotoConfig`], [`CampaignConfig`]) comes from
-/// this one surface, so there is exactly one place a knob lives.
+/// ([`FitConfig`], [`CampaignConfig`]) comes from this one surface, so
+/// there is exactly one place a knob lives. The Photo stage
+/// ([`Session::detect`](crate::Session::detect)) is a fixed heuristic
+/// with no knobs.
 ///
 /// # Thread-count precedence
 ///
@@ -31,10 +32,8 @@ pub struct CelesteConfig {
     pub threads: usize,
     /// Simulated campaign nodes (default: `threads.min(2)`).
     pub n_nodes: usize,
-    /// Variational-fit knobs (Newton, culling, BCA).
+    /// Variational-fit knobs (Newton iteration cap, BCA passes).
     pub fit: FitConfig,
-    /// Detection/classification knobs for the Photo stage.
-    pub photo: PhotoConfig,
     /// Model priors used by every fit the session runs.
     pub priors: ModelPriors,
     /// Lease/retry/backoff policy for campaign region tasks.
@@ -70,7 +69,6 @@ pub struct CelesteBuilder {
     threads: Option<usize>,
     n_nodes: Option<usize>,
     fit: Option<FitConfig>,
-    photo: Option<PhotoConfig>,
     priors: Option<ModelPriors>,
     retry: Option<RetryPolicy>,
     faults: Option<FaultPlan>,
@@ -93,12 +91,6 @@ impl CelesteBuilder {
     /// Replace the variational-fit configuration.
     pub fn fit(mut self, fit: FitConfig) -> Self {
         self.fit = Some(fit);
-        self
-    }
-
-    /// Replace the detection/classification configuration.
-    pub fn photo(mut self, photo: PhotoConfig) -> Self {
-        self.photo = Some(photo);
         self
     }
 
@@ -153,26 +145,6 @@ impl CelesteBuilder {
         if fit.newton.max_iters == 0 {
             return Err(bad("fit.newton.max_iters", "must be at least 1"));
         }
-        if !(fit.cull_tol.is_finite() && fit.cull_tol >= 0.0) {
-            return Err(bad(
-                "fit.cull_tol",
-                format!("must be finite and non-negative, got {}", fit.cull_tol),
-            ));
-        }
-
-        let photo = self.photo.unwrap_or_default();
-        if !(photo.detect.threshold_sigma.is_finite() && photo.detect.threshold_sigma > 0.0) {
-            return Err(bad(
-                "photo.detect.threshold_sigma",
-                format!(
-                    "must be finite and positive, got {}",
-                    photo.detect.threshold_sigma
-                ),
-            ));
-        }
-        if photo.detect.min_pixels == 0 {
-            return Err(bad("photo.detect.min_pixels", "must be at least 1"));
-        }
 
         let priors = self
             .priors
@@ -203,7 +175,6 @@ impl CelesteBuilder {
             threads,
             n_nodes,
             fit,
-            photo,
             priors,
             retry,
             faults: self.faults,

@@ -135,7 +135,7 @@ pub use celeste_survey as survey;
 pub use celeste_core::{
     FitConfig, FitError, FitStats, ModelPriors, NewtonConfig, SourceParams, Uncertainty,
 };
-pub use celeste_photo::{PhotoConfig, PhotoError};
+pub use celeste_photo::PhotoError;
 pub use celeste_sched::runtime::RegionStats;
 pub use celeste_sched::{
     partition_sky, try_partition_sky, CampaignConfig, CampaignError, CampaignReport, CancelToken,

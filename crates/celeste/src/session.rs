@@ -101,7 +101,7 @@ impl Session {
     /// Run heuristic detection + photometry (the Photo stage) over one
     /// field's images: exactly one image per band, r band required.
     pub fn detect(&self, images: &[&Image]) -> Result<Catalog, CelesteError> {
-        Ok(celeste_photo::run_photo(images, &self.cfg.photo)?)
+        Ok(celeste_photo::run_photo(images)?)
     }
 
     /// Initialize variational source parameters from a catalog (the

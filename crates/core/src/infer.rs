@@ -27,6 +27,14 @@ pub const MIN_RADIUS_PX: f64 = 4.0;
 /// Active-pixel radius clamp, pixels: the upper bound (also the
 /// margin past an image's edge within which a source still reads it).
 pub const MAX_RADIUS_PX: f64 = 20.0;
+/// Geometry-kernel culling tolerance: mixture components whose
+/// contribution to every output slot is provably below this are
+/// skipped before their `exp` is taken (see [`crate::bvn`]). At 1e-9
+/// (in unit-flux appearance units) the induced per-pixel rate error
+/// stays ~9 orders of magnitude below the Poisson noise of any
+/// realistic image while the far tails of the mixture are culled.
+/// Source fits use it for the derivative and value paths alike.
+pub const CULL_TOL: f64 = 1e-9;
 
 /// Inference configuration.
 #[derive(Debug, Clone, Copy)]
@@ -34,17 +42,6 @@ pub struct FitConfig {
     pub newton: NewtonConfig,
     /// Block-coordinate-ascent passes over a region.
     pub bca_passes: usize,
-    /// Whether to refresh position/shape uncertainty scales from the
-    /// curvature after each fit (Laplace-within-VI).
-    pub laplace_scales: bool,
-    /// Geometry-kernel culling tolerance: mixture components whose
-    /// contribution to every output slot is provably below this are
-    /// skipped before their `exp` is taken (see [`crate::bvn`]).
-    /// 0 disables culling. The default (1e-9, in unit-flux appearance
-    /// units) keeps the induced per-pixel rate error ~9 orders of
-    /// magnitude below the Poisson noise of any realistic image while
-    /// culling the far tails of the mixture.
-    pub cull_tol: f64,
 }
 
 impl Default for FitConfig {
@@ -52,8 +49,6 @@ impl Default for FitConfig {
         FitConfig {
             newton: NewtonConfig::default(),
             bca_passes: 2,
-            laplace_scales: true,
-            cull_tol: 1e-9,
         }
     }
 }
@@ -74,9 +69,6 @@ pub fn expected_band_flux(params: &[f64; NUM_PARAMS], band: usize) -> f64 {
 pub struct SourceProblem {
     pub blocks: Vec<ImageBlock>,
     pub priors: ModelPriors,
-    /// Geometry-kernel culling tolerance (see [`FitConfig::cull_tol`]);
-    /// applied identically to the derivative and value paths.
-    pub cull_tol: f64,
 }
 
 /// Reusable buffers for [`SourceProblem::build`]: the per-image
@@ -91,15 +83,17 @@ pub struct BuildScratch {
 impl SourceProblem {
     /// Assemble the problem for `source` against `images`, holding
     /// `others` fixed (their expected flux joins each pixel's ε).
+    /// Assembly reads nothing from the fit configuration; the argument
+    /// stays for the callers outside this workspace (`pipebench`).
     pub fn build(
         source: &SourceParams,
         images: &[&Image],
         others: &[&SourceParams],
         priors: &ModelPriors,
-        cfg: &FitConfig,
+        _cfg: &FitConfig,
     ) -> SourceProblem {
         let mut scratch = BuildScratch::default();
-        SourceProblem::build_with(source, images, others, priors, cfg, &mut scratch)
+        SourceProblem::build_with(source, images, others, priors, &mut scratch)
     }
 
     /// [`SourceProblem::build`] with caller-owned assembly scratch
@@ -109,7 +103,6 @@ impl SourceProblem {
         images: &[&Image],
         others: &[&SourceParams],
         priors: &ModelPriors,
-        cfg: &FitConfig,
         scratch: &mut BuildScratch,
     ) -> SourceProblem {
         let mut blocks = Vec::new();
@@ -205,7 +198,6 @@ impl SourceProblem {
         SourceProblem {
             blocks,
             priors: priors.clone(),
-            cull_tol: cfg.cull_tol,
         }
     }
 
@@ -234,14 +226,7 @@ impl Objective for SourceProblem {
         ws.reset_accumulators();
         let (grad, hess, scratch) = ws.split_mut();
         let g44: &mut [f64; NUM_PARAMS] = grad.as_mut_slice().try_into().expect("workspace dim");
-        let lik = add_likelihood_into(
-            &params,
-            &self.blocks,
-            g44,
-            hess,
-            &mut scratch.lik,
-            self.cull_tol,
-        );
+        let lik = add_likelihood_into(&params, &self.blocks, g44, hess, &mut scratch.lik, CULL_TOL);
         let kl = sub_kl(&params, &self.priors, g44, hess);
         // Both accumulations are symmetric by construction; enforce
         // exact symmetry for the eigensolver (cheap, allocation-free).
@@ -256,7 +241,7 @@ impl Objective for SourceProblem {
 
     fn value_into(&self, x: &[f64], scratch: &mut SourceScratch) -> f64 {
         let params: [f64; NUM_PARAMS] = x.try_into().expect("dim");
-        likelihood_value_into(&params, &self.blocks, &mut scratch.lik, self.cull_tol)
+        likelihood_value_into(&params, &self.blocks, &mut scratch.lik, CULL_TOL)
             - kl_value(&params, &self.priors)
     }
 }
@@ -393,7 +378,9 @@ pub fn fit_source(
 
 /// Fit one source to convergence reusing the caller's workspace: the
 /// whole Newton loop (all iterations and trust-region trials) runs
-/// against the same gradient/Hessian/scratch buffers.
+/// against the same gradient/Hessian/scratch buffers. The
+/// position/shape uncertainty scales are then refreshed from the
+/// curvature at the optimum.
 pub fn fit_source_with(
     source: &mut SourceParams,
     problem: &SourceProblem,
@@ -404,9 +391,7 @@ pub fn fit_source_with(
     let mut x = source.params;
     let newton = maximize_with(problem, &mut x, &cfg.newton, ws);
     source.params = x;
-    if cfg.laplace_scales {
-        laplace_update_scales(source, problem, ws);
-    }
+    laplace_update_scales(source, problem, ws);
     FitStats {
         newton,
         active_pixels: problem.active_pixels(),
@@ -447,9 +432,6 @@ fn laplace_update_scales(
 pub struct OptimizeStats {
     pub passes: usize,
     pub fits: usize,
-    pub total_newton_iters: usize,
-    /// Sum of per-source final ELBOs after the last pass.
-    pub final_elbo: f64,
 }
 
 /// Serial block coordinate ascent over the sources of one region
@@ -471,16 +453,12 @@ pub fn optimize_sources(
             let (head, rest) = sources.split_at_mut(i);
             let (curr, tail) = rest.split_first_mut().expect("index in range");
             let others: Vec<&SourceParams> = head.iter().chain(tail.iter()).collect();
-            let problem = SourceProblem::build_with(curr, images, &others, priors, cfg, &mut build);
+            let problem = SourceProblem::build_with(curr, images, &others, priors, &mut build);
             if problem.blocks.is_empty() {
                 continue;
             }
-            let fs = fit_source_with(curr, &problem, cfg, &mut ws);
+            fit_source_with(curr, &problem, cfg, &mut ws);
             stats.fits += 1;
-            stats.total_newton_iters += fs.newton.iterations;
-            if i == sources.len() - 1 {
-                stats.final_elbo += fs.elbo_after;
-            }
         }
     }
     stats

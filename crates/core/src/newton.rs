@@ -129,30 +129,27 @@ pub trait Objective {
     }
 }
 
+/// Stop when the gradient max-norm falls below this (and the model
+/// promises no more than [`F_TOL`]).
+pub const GRAD_TOL: f64 = 1e-6;
+/// Stop when an accepted step improves the objective by less than this
+/// (relative to `1 + |f|`).
+pub const F_TOL: f64 = 1e-9;
+/// Trust radius of the first iteration.
+pub const INITIAL_RADIUS: f64 = 1.0;
+/// Trust radius ceiling.
+pub const MAX_RADIUS: f64 = 100.0;
+
 /// Trust-region Newton configuration.
 #[derive(Debug, Clone, Copy)]
 pub struct NewtonConfig {
     /// Maximum Newton iterations.
     pub max_iters: usize,
-    /// Stop when the gradient max-norm falls below this.
-    pub grad_tol: f64,
-    /// Stop when an accepted step improves the objective by less.
-    pub f_tol: f64,
-    /// Initial trust radius.
-    pub initial_radius: f64,
-    /// Trust radius ceiling.
-    pub max_radius: f64,
 }
 
 impl Default for NewtonConfig {
     fn default() -> Self {
-        NewtonConfig {
-            max_iters: 50,
-            grad_tol: 1e-6,
-            f_tol: 1e-9,
-            initial_radius: 1.0,
-            max_radius: 100.0,
-        }
+        NewtonConfig { max_iters: 50 }
     }
 }
 
@@ -198,7 +195,7 @@ pub fn maximize_with<O: Objective>(
     assert_eq!(x.len(), n);
     assert_eq!(ws.dim(), n, "workspace dimension mismatch");
     let mut stats = NewtonStats::default();
-    let mut radius = cfg.initial_radius;
+    let mut radius = INITIAL_RADIUS;
 
     obj.eval_into(x, ws);
     stats.full_evals += 1;
@@ -219,9 +216,7 @@ pub fn maximize_with<O: Objective>(
         // Converged only when both the gradient is flat AND the model
         // promises nothing — a zero gradient alone can be a saddle,
         // which the TR step escapes along negative curvature.
-        if stats.grad_norm < cfg.grad_tol
-            && sol.predicted_reduction <= cfg.f_tol * (1.0 + ws.value.abs())
-        {
+        if stats.grad_norm < GRAD_TOL && sol.predicted_reduction <= F_TOL * (1.0 + ws.value.abs()) {
             stats.converged = true;
             break;
         }
@@ -247,11 +242,11 @@ pub fn maximize_with<O: Objective>(
             obj.eval_into(x, ws);
             stats.full_evals += 1;
             if rho > 0.75 && sol.on_boundary {
-                radius = (2.0 * radius).min(cfg.max_radius);
+                radius = (2.0 * radius).min(MAX_RADIUS);
             } else if rho < 0.25 {
                 radius *= 0.5;
             }
-            if improvement < cfg.f_tol * (1.0 + ws.value.abs()) {
+            if improvement < F_TOL * (1.0 + ws.value.abs()) {
                 stats.converged = true;
                 break;
             }
@@ -331,18 +326,13 @@ mod tests {
 
     #[test]
     fn quadratic_converges_in_one_accepted_step() {
+        // The maximizer lies inside the initial trust radius (|c| < 1),
+        // so the first Newton step lands on it.
         let obj = Quadratic {
-            center: vec![3.0, -1.0, 0.5],
+            center: vec![0.6, -0.4, 0.3],
         };
         let mut x = vec![0.0; 3];
-        let stats = maximize(
-            &obj,
-            &mut x,
-            &NewtonConfig {
-                initial_radius: 50.0,
-                ..Default::default()
-            },
-        );
+        let stats = maximize(&obj, &mut x, &NewtonConfig::default());
         assert!(stats.converged);
         assert!(stats.iterations <= 2, "iterations {}", stats.iterations);
         for (xi, ci) in x.iter().zip(&obj.center) {
@@ -353,14 +343,7 @@ mod tests {
     #[test]
     fn rosenbrock_reaches_global_max() {
         let mut x = vec![-1.2, 1.0];
-        let stats = maximize(
-            &NegRosenbrock,
-            &mut x,
-            &NewtonConfig {
-                max_iters: 200,
-                ..Default::default()
-            },
-        );
+        let stats = maximize(&NegRosenbrock, &mut x, &NewtonConfig { max_iters: 200 });
         assert!(stats.converged, "stats {stats:?}");
         assert!((x[0] - 1.0).abs() < 1e-6, "x {x:?}");
         assert!((x[1] - 1.0).abs() < 1e-6);
@@ -399,15 +382,7 @@ mod tests {
         let before = workspace_builds();
         for seed in 0..4 {
             let mut x = vec![-1.2 + 0.1 * seed as f64, 1.0];
-            maximize_with(
-                &obj,
-                &mut x,
-                &NewtonConfig {
-                    max_iters: 200,
-                    ..Default::default()
-                },
-                &mut ws,
-            );
+            maximize_with(&obj, &mut x, &NewtonConfig { max_iters: 200 }, &mut ws);
             assert!((x[0] - 1.0).abs() < 1e-6);
         }
         assert_eq!(

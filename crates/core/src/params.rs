@@ -150,12 +150,6 @@ impl SourceParams {
         sigmoid(self.params[ids::A[0]] - self.params[ids::A[1]])
     }
 
-    /// Type probabilities [star, galaxy].
-    pub fn type_probs(&self) -> [f64; 2] {
-        let s = self.star_prob();
-        [s, 1.0 - s]
-    }
-
     /// Posterior sd of reference-band flux for type `t`.
     pub fn flux_sd(&self, t: usize) -> f64 {
         let mu = self.params[ids::r_mu(t)];
@@ -317,8 +311,6 @@ mod tests {
         sp.params[ids::A[1]] = 3.0;
         assert!(sp.star_prob() < 0.01);
         assert_eq!(sp.map_type(), SourceType::Galaxy);
-        let probs = sp.type_probs();
-        assert!((probs[0] + probs[1] - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -9,6 +9,7 @@
 //! Everything still runs inside ONE #[test] so the warmup/measure
 //! phases stay ordered.
 
+use celeste_core::infer::CULL_TOL;
 use celeste_core::likelihood::{likelihood_value_into, ActivePixel, ImageBlock, LikScratch};
 use celeste_core::newton::workspace_builds;
 use celeste_core::{
@@ -104,14 +105,7 @@ fn fixture() -> (SourceParams, SourceProblem) {
         pixels,
     }];
     let priors = ModelPriors::new(Priors::sdss_default());
-    (
-        sp,
-        SourceProblem {
-            blocks,
-            priors,
-            cull_tol: FitConfig::default().cull_tol,
-        },
-    )
+    (sp, SourceProblem { blocks, priors })
 }
 
 /// One test on purpose: the allocation counter is process-global, so
@@ -139,21 +133,11 @@ fn evaluation_hot_path_is_allocation_free_after_warmup() {
     // --- value-only path: zero heap allocations after warmup. ---
     let mut lik_scratch = LikScratch::default();
     for _ in 0..3 {
-        likelihood_value_into(
-            &sp.params,
-            &problem.blocks,
-            &mut lik_scratch,
-            problem.cull_tol,
-        );
+        likelihood_value_into(&sp.params, &problem.blocks, &mut lik_scratch, CULL_TOL);
     }
     let before = allocs();
     for _ in 0..25 {
-        likelihood_value_into(
-            &sp.params,
-            &problem.blocks,
-            &mut lik_scratch,
-            problem.cull_tol,
-        );
+        likelihood_value_into(&sp.params, &problem.blocks, &mut lik_scratch, CULL_TOL);
     }
     let value_allocs = allocs() - before;
     assert_eq!(
@@ -163,10 +147,7 @@ fn evaluation_hot_path_is_allocation_free_after_warmup() {
 
     // --- maximize: exactly one workspace per fit_source (the shim),
     // zero per fit_source_with, regardless of iteration count. ---
-    let cfg = FitConfig {
-        laplace_scales: false,
-        ..Default::default()
-    };
+    let cfg = FitConfig::default();
     let ws_before = workspace_builds();
     let mut source = sp.clone();
     let stats = fit_source_with(&mut source, &problem, &cfg, &mut ws);

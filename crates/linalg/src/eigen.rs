@@ -268,11 +268,6 @@ impl SymEigen {
         self.converged
     }
 
-    /// Smallest eigenvalue.
-    pub fn min_value(&self) -> f64 {
-        self.values[0]
-    }
-
     /// Rebuild `V diag(f(λ)) Vᵀ` — used for the modified-Newton PSD
     /// projection (flip/floor negative curvature).
     pub fn rebuild_with(&self, f: impl Fn(f64) -> f64) -> Mat {
@@ -337,7 +332,7 @@ mod tests {
         // VᵀV == I
         let vtv = e.vectors().t().matmul(e.vectors());
         let mut ortho = vtv;
-        ortho.add_scaled(-1.0, &Mat::identity(20));
+        ortho.add_scaled(-1.0, &Mat::from_diag(&[1.0; 20]));
         assert!(ortho.max_abs() < 1e-12);
     }
 
@@ -367,7 +362,7 @@ mod tests {
         let e = SymEigen::new(&a);
         let fixed = e.rebuild_with(|l| l.max(0.5));
         let e2 = SymEigen::new(&fixed);
-        assert!(e2.min_value() >= 0.5 - 1e-12);
+        assert!(e2.values()[0] >= 0.5 - 1e-12);
     }
 
     #[test]

@@ -68,7 +68,7 @@ mod tests {
 
     #[test]
     fn nnls_zero_rhs_gives_zero() {
-        let a = Mat::identity(4);
+        let a = Mat::from_diag(&[1.0; 4]);
         let x = nnls(&a, &[0.0; 4], 10);
         assert!(x.iter().all(|&v| v == 0.0));
     }

@@ -22,15 +22,6 @@ impl Mat {
         }
     }
 
-    /// The `n × n` identity matrix.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Mat::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Build a matrix by evaluating `f(row, col)` at every entry.
     pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
         let mut data = Vec::with_capacity(rows * cols);
@@ -147,14 +138,6 @@ impl Mat {
     pub fn scale(&mut self, alpha: f64) {
         for a in &mut self.data {
             *a *= alpha;
-        }
-    }
-
-    /// Add `alpha` to the diagonal (Tikhonov shift).
-    pub fn shift_diag(&mut self, alpha: f64) {
-        let n = self.rows.min(self.cols);
-        for i in 0..n {
-            self[(i, i)] += alpha;
         }
     }
 
@@ -328,9 +311,9 @@ mod tests {
     #[test]
     fn identity_matmul_is_noop() {
         let a = Mat::from_rows(2, 3, &[1.0, 2.0, 3.0, 4.0, 5.0, 6.0]);
-        let i = Mat::identity(2);
+        let i = Mat::from_diag(&[1.0; 2]);
         assert_eq!(i.matmul(&a).as_slice(), a.as_slice());
-        let i3 = Mat::identity(3);
+        let i3 = Mat::from_diag(&[1.0; 3]);
         assert_eq!(a.matmul(&i3).as_slice(), a.as_slice());
     }
 

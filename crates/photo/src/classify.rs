@@ -1,45 +1,31 @@
-//! Star/galaxy classification and galaxy shape estimation.
+//! Star/galaxy classification and galaxy shape estimation. The
+//! thresholds are fixed constants tuned like Photo's, not fit to data.
 
 use crate::measure::Moments;
 use celeste_survey::catalog::{GalaxyShape, SourceType};
 use celeste_survey::psf::Psf;
 
-/// Classification / shape heuristics, tuned like Photo: thresholds are
-/// fixed constants, not fit to data.
-#[derive(Debug, Clone, Copy)]
-pub struct ClassifyConfig {
-    /// A source is a galaxy if its deconvolved per-axis sigma exceeds
-    /// this fraction of the PSF sigma. (The aperture concentration
-    /// index turns out to be nearly useless once a small galaxy is
-    /// convolved with the PSF — r90/r50 of a 2-pixel exponential lands
-    /// *below* the pure-PSF value — so, like Photo's star/galaxy
-    /// separator, the decision is purely size-based.)
-    pub size_ratio_threshold: f64,
-    /// Concentration (r90/r50) mapped to frac_dev = 0 (≈ PSF-convolved
-    /// exponential disk).
-    pub conc_exp: f64,
-    /// Concentration mapped to frac_dev = 1 (≈ PSF-convolved deV).
-    pub conc_dev: f64,
-}
-
-impl Default for ClassifyConfig {
-    fn default() -> Self {
-        ClassifyConfig {
-            size_ratio_threshold: 0.30,
-            conc_exp: 1.9,
-            conc_dev: 2.9,
-        }
-    }
-}
+/// A source is a galaxy if its deconvolved per-axis sigma exceeds this
+/// fraction of the PSF sigma. (The aperture concentration index turns
+/// out to be nearly useless once a small galaxy is convolved with the
+/// PSF — r90/r50 of a 2-pixel exponential lands *below* the pure-PSF
+/// value — so, like Photo's star/galaxy separator, the decision is
+/// purely size-based.)
+const SIZE_RATIO_THRESHOLD: f64 = 0.30;
+/// Concentration (r90/r50) mapped to frac_dev = 0 (≈ PSF-convolved
+/// exponential disk).
+const CONC_EXP: f64 = 1.9;
+/// Concentration mapped to frac_dev = 1 (≈ PSF-convolved deV).
+const CONC_DEV: f64 = 2.9;
 
 /// Star/galaxy decision from moments, Photo-style: compare the
 /// PSF-deconvolved size with the PSF itself.
-pub fn classify(m: &Moments, _concentration: f64, psf: &Psf, cfg: &ClassifyConfig) -> SourceType {
+pub fn classify(m: &Moments, psf: &Psf) -> SourceType {
     let psf_var = psf_variance(psf);
     let mean_var = 0.5 * (m.ixx + m.iyy);
     let decon = (mean_var - psf_var).max(0.0);
     let size_ratio = (decon / psf_var).sqrt();
-    if size_ratio > cfg.size_ratio_threshold {
+    if size_ratio > SIZE_RATIO_THRESHOLD {
         SourceType::Galaxy
     } else {
         SourceType::Star
@@ -54,7 +40,6 @@ pub fn estimate_shape(
     concentration: f64,
     psf: &Psf,
     pixel_scale_arcsec: f64,
-    cfg: &ClassifyConfig,
 ) -> GalaxyShape {
     let psf_var = psf_variance(psf);
     let (l1, l2, angle) = m.principal_axes();
@@ -67,7 +52,7 @@ pub fn estimate_shape(
     // 1.3× the major sigma is a serviceable r_e estimate for typical
     // profile mixes.
     let radius_arcsec = (1.3 * major.sqrt() * pixel_scale_arcsec).clamp(0.05, 30.0);
-    let frac_dev = ((concentration - cfg.conc_exp) / (cfg.conc_dev - cfg.conc_exp)).clamp(0.0, 1.0);
+    let frac_dev = ((concentration - CONC_EXP) / (CONC_DEV - CONC_EXP)).clamp(0.0, 1.0);
     GalaxyShape {
         frac_dev,
         axis_ratio,
@@ -103,20 +88,14 @@ mod tests {
     fn psf_sized_source_is_star() {
         let psf = Psf::single(1.4);
         let m = point_moments(1.96); // exactly PSF-sized
-        assert_eq!(
-            classify(&m, 1.82, &psf, &ClassifyConfig::default()),
-            SourceType::Star
-        );
+        assert_eq!(classify(&m, &psf), SourceType::Star);
     }
 
     #[test]
     fn extended_diffuse_source_is_galaxy() {
         let psf = Psf::single(1.4);
         let m = point_moments(6.0); // much larger than PSF
-        assert_eq!(
-            classify(&m, 2.5, &psf, &ClassifyConfig::default()),
-            SourceType::Galaxy
-        );
+        assert_eq!(classify(&m, &psf), SourceType::Galaxy);
     }
 
     #[test]
@@ -125,10 +104,7 @@ mod tests {
         // moments must not flip stars to galaxies.
         let psf = Psf::single(1.4);
         let m = point_moments(1.96 * 1.05);
-        assert_eq!(
-            classify(&m, 1.8, &psf, &ClassifyConfig::default()),
-            SourceType::Star
-        );
+        assert_eq!(classify(&m, &psf), SourceType::Star);
     }
 
     #[test]
@@ -144,7 +120,7 @@ mod tests {
             iyy: 3.25,
             counts: 1.0,
         };
-        let s = estimate_shape(&m, 2.2, &psf, 0.4, &ClassifyConfig::default());
+        let s = estimate_shape(&m, 2.2, &psf, 0.4);
         assert!((s.axis_ratio - 0.5).abs() < 0.02, "q {}", s.axis_ratio);
         assert!(s.angle_rad < 0.05 || (std::f64::consts::PI - s.angle_rad) < 0.05);
         assert!(
@@ -158,10 +134,9 @@ mod tests {
     fn frac_dev_interpolates_concentration() {
         let psf = Psf::single(1.0);
         let m = point_moments(4.0);
-        let cfg = ClassifyConfig::default();
-        let lo = estimate_shape(&m, cfg.conc_exp, &psf, 0.4, &cfg);
-        let hi = estimate_shape(&m, cfg.conc_dev, &psf, 0.4, &cfg);
-        let mid = estimate_shape(&m, 0.5 * (cfg.conc_exp + cfg.conc_dev), &psf, 0.4, &cfg);
+        let lo = estimate_shape(&m, CONC_EXP, &psf, 0.4);
+        let hi = estimate_shape(&m, CONC_DEV, &psf, 0.4);
+        let mid = estimate_shape(&m, 0.5 * (CONC_EXP + CONC_DEV), &psf, 0.4);
         assert_eq!(lo.frac_dev, 0.0);
         assert_eq!(hi.frac_dev, 1.0);
         assert!((mid.frac_dev - 0.5).abs() < 1e-12);

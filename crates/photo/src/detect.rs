@@ -15,36 +15,22 @@ pub struct Detection {
     pub pixels: Vec<(usize, usize)>,
 }
 
-/// Detection tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct DetectConfig {
-    /// Detection threshold in sky sigmas.
-    pub threshold_sigma: f64,
-    /// Minimum pixels for a valid object (rejects hot pixels).
-    pub min_pixels: usize,
-    /// A local maximum must exceed this fraction of the component's
-    /// main peak to seed a deblended child.
-    pub deblend_min_contrast: f64,
-}
+/// Detection threshold in sky sigmas.
+const THRESHOLD_SIGMA: f64 = 4.0;
+/// Minimum pixels for a valid object (rejects hot pixels).
+const MIN_PIXELS: usize = 4;
+/// A local maximum must exceed this fraction of the component's main
+/// peak to seed a deblended child.
+const DEBLEND_MIN_CONTRAST: f64 = 0.06;
 
-impl Default for DetectConfig {
-    fn default() -> Self {
-        DetectConfig {
-            threshold_sigma: 4.0,
-            min_pixels: 4,
-            deblend_min_contrast: 0.06,
-        }
-    }
-}
-
-/// Detect sources: threshold at `sky + kσ`, group into 8-connected
+/// Detect sources: threshold at `sky + 4σ`, group into 8-connected
 /// components, then split each component among its significant local
 /// maxima (each above-threshold pixel goes to the nearest maximum).
 /// This is Photo's "objects → children" flow in miniature.
-pub fn detect(img: &Image, bg: &Background, cfg: &DetectConfig) -> Vec<Detection> {
+pub fn detect(img: &Image, bg: &Background) -> Vec<Detection> {
     let w = img.width;
     let h = img.height;
-    let thresh = (bg.level + cfg.threshold_sigma * bg.sigma) as f32;
+    let thresh = (bg.level + THRESHOLD_SIGMA * bg.sigma) as f32;
     // Above-threshold mask and component labels (-1 = background).
     let mut label = vec![-1i32; w * h];
     let mut components: Vec<Vec<(usize, usize)>> = Vec::new();
@@ -83,21 +69,16 @@ pub fn detect(img: &Image, bg: &Background, cfg: &DetectConfig) -> Vec<Detection
 
     let mut detections = Vec::new();
     for member in components {
-        if member.len() < cfg.min_pixels {
+        if member.len() < MIN_PIXELS {
             continue;
         }
-        detections.extend(deblend(img, bg, &member, cfg));
+        detections.extend(deblend(img, bg, &member));
     }
     detections
 }
 
 /// Split one connected component among its significant local maxima.
-fn deblend(
-    img: &Image,
-    bg: &Background,
-    member: &[(usize, usize)],
-    cfg: &DetectConfig,
-) -> Vec<Detection> {
+fn deblend(img: &Image, bg: &Background, member: &[(usize, usize)]) -> Vec<Detection> {
     let w = img.width;
     let value = |x: usize, y: usize| img.pixels[y * w + x] as f64 - bg.level;
     // Local maxima over the 8-neighborhood restricted to the component.
@@ -134,7 +115,7 @@ fn deblend(
     maxima.sort_by(|a, b| b.2.partial_cmp(&a.2).unwrap());
     let mut kept: Vec<(usize, usize, f64)> = Vec::new();
     for m in maxima {
-        if m.2 < cfg.deblend_min_contrast * main_peak {
+        if m.2 < DEBLEND_MIN_CONTRAST * main_peak {
             continue;
         }
         let far_enough = kept.iter().all(|k| {
@@ -172,7 +153,7 @@ fn deblend(
         }
         children[best].pixels.push((x, y));
     }
-    children.retain(|c| c.pixels.len() >= cfg.min_pixels);
+    children.retain(|c| c.pixels.len() >= MIN_PIXELS);
     children
 }
 
@@ -223,7 +204,7 @@ mod tests {
     fn detects_isolated_bright_stars() {
         let img = image_with_stars(&[(0.01, 0.01), (0.04, 0.04)], 30.0);
         let bg = estimate_background(&img);
-        let dets = detect(&img, &bg, &DetectConfig::default());
+        let dets = detect(&img, &bg);
         assert_eq!(dets.len(), 2, "expected 2 detections, got {}", dets.len());
     }
 
@@ -231,7 +212,7 @@ mod tests {
     fn no_detections_in_pure_sky() {
         let img = image_with_stars(&[], 0.0);
         let bg = estimate_background(&img);
-        let dets = detect(&img, &bg, &DetectConfig::default());
+        let dets = detect(&img, &bg);
         assert!(dets.len() <= 1, "false positives: {}", dets.len());
     }
 
@@ -241,7 +222,7 @@ mod tests {
         let sep_deg = 9.0 * (0.05 / 128.0);
         let img = image_with_stars(&[(0.02, 0.02), (0.02 + sep_deg, 0.02)], 60.0);
         let bg = estimate_background(&img);
-        let dets = detect(&img, &bg, &DetectConfig::default());
+        let dets = detect(&img, &bg);
         assert_eq!(dets.len(), 2, "expected deblended pair, got {}", dets.len());
     }
 
@@ -249,7 +230,7 @@ mod tests {
     fn faint_source_below_threshold_is_missed() {
         let img = image_with_stars(&[(0.02, 0.02)], 0.05);
         let bg = estimate_background(&img);
-        let dets = detect(&img, &bg, &DetectConfig::default());
+        let dets = detect(&img, &bg);
         assert!(dets.is_empty(), "0.05 nmgy should be invisible at 4σ");
     }
 
@@ -257,7 +238,7 @@ mod tests {
     fn peak_position_is_near_source() {
         let img = image_with_stars(&[(0.025, 0.015)], 50.0);
         let bg = estimate_background(&img);
-        let dets = detect(&img, &bg, &DetectConfig::default());
+        let dets = detect(&img, &bg);
         assert_eq!(dets.len(), 1);
         let c = img.wcs.sky_to_pix(&SkyCoord::new(0.025, 0.015));
         let (px, py) = dets[0].peak;

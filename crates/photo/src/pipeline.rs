@@ -1,21 +1,14 @@
 //! The end-to-end Photo pipeline driver.
 
 use crate::background::{estimate_background, Background};
-use crate::classify::{classify, estimate_shape, ClassifyConfig};
-use crate::detect::{detect, DetectConfig};
+use crate::classify::{classify, estimate_shape};
+use crate::detect::detect;
 use crate::measure::{
     adaptive_moments, aperture_flux_nmgy, flux_radius, model_aperture_fraction, moments,
 };
 use celeste_survey::bands::{colors_from_fluxes, NUM_BANDS, REFERENCE_BAND};
 use celeste_survey::catalog::{Catalog, CatalogEntry};
 use celeste_survey::Image;
-
-/// Pipeline tuning knobs.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhotoConfig {
-    pub detect: DetectConfig,
-    pub classify: ClassifyConfig,
-}
 
 /// Invalid input to the Photo pipeline, reported by [`run_photo`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,7 +40,7 @@ impl std::error::Error for PhotoError {}
 /// unless they were first combined into a coadd.
 ///
 /// A duplicate band or a missing r band is a [`PhotoError`].
-pub fn run_photo(images: &[&Image], cfg: &PhotoConfig) -> Result<Catalog, PhotoError> {
+pub fn run_photo(images: &[&Image]) -> Result<Catalog, PhotoError> {
     let mut by_band: [Option<&Image>; NUM_BANDS] = [None; NUM_BANDS];
     for img in images {
         let slot = &mut by_band[img.band.index()];
@@ -73,7 +66,7 @@ pub fn run_photo(images: &[&Image], cfg: &PhotoConfig) -> Result<Catalog, PhotoE
         .iter()
         .map(|c| c.sigma_px)
         .fold(0.0_f64, f64::max);
-    let detections = detect(r_img, &r_bg, &cfg.detect);
+    let detections = detect(r_img, &r_bg);
     let mut entries = Vec::with_capacity(detections.len());
     for (i, det) in detections.iter().enumerate() {
         // Seed centroid from the member pixels, then refine size and
@@ -123,13 +116,12 @@ pub fn run_photo(images: &[&Image], cfg: &PhotoConfig) -> Result<Catalog, PhotoE
         }
         let (flux_r, colors) = colors_from_fluxes(&fluxes);
 
-        let source_type = classify(&m, concentration, &r_img.psf, &cfg.classify);
+        let source_type = classify(&m, &r_img.psf);
         let shape = estimate_shape(
             &m,
             concentration,
             &r_img.psf,
             r_img.wcs.pixel_scale_arcsec(),
-            &cfg.classify,
         );
         entries.push(CatalogEntry {
             id: i as u64,
@@ -201,7 +193,7 @@ mod tests {
     /// Photo over owned images, which must be valid.
     fn photo(images: &[Image]) -> Catalog {
         let refs: Vec<&Image> = images.iter().collect();
-        run_photo(&refs, &PhotoConfig::default()).unwrap()
+        run_photo(&refs).unwrap()
     }
 
     fn bright_star(id: u64, ra: f64, dec: f64, flux: f64) -> CatalogEntry {
@@ -271,22 +263,21 @@ mod tests {
     fn run_photo_reports_typed_errors() {
         let truth = Catalog::new(vec![bright_star(0, 0.025, 0.025, 10.0)]);
         let images = render_scene(&truth, 2);
-        let cfg = PhotoConfig::default();
 
         let no_r: Vec<&Image> = images.iter().filter(|i| i.band != Band::R).collect();
         assert_eq!(
-            run_photo(&no_r, &cfg).unwrap_err(),
+            run_photo(&no_r).unwrap_err(),
             PhotoError::MissingReferenceBand
         );
 
         let mut dup: Vec<&Image> = images.iter().collect();
         dup.push(&images[Band::G.index()]);
         assert_eq!(
-            run_photo(&dup, &cfg).unwrap_err(),
+            run_photo(&dup).unwrap_err(),
             PhotoError::DuplicateBand(Band::G)
         );
 
         let refs: Vec<&Image> = images.iter().collect();
-        assert!(run_photo(&refs, &cfg).is_ok());
+        assert!(run_photo(&refs).is_ok());
     }
 }

@@ -146,24 +146,27 @@ pub struct RegionProvenance {
 /// Bit-exact hash of every [`FitConfig`] knob that can change a fit's
 /// result. Part of a region's [`RegionProvenance`]: a re-run with a
 /// different configuration must never reuse cached shard results.
-/// The active-pixel constants keep their place in the fold, so keys
-/// match those of builds where they were configurable.
+/// The fit constants (Newton tolerances and radii, the active-pixel
+/// radius, the Laplace refresh, the culling tolerance) keep their
+/// place in the fold, so keys match those of builds where they were
+/// configurable.
 pub fn fit_config_hash(fit: &FitConfig) -> u64 {
     use crate::fault::mix64;
-    use celeste_core::infer::{ACTIVE_NSIGMA, MAX_RADIUS_PX, MIN_RADIUS_PX};
+    use celeste_core::infer::{ACTIVE_NSIGMA, CULL_TOL, MAX_RADIUS_PX, MIN_RADIUS_PX};
+    use celeste_core::newton::{F_TOL, GRAD_TOL, INITIAL_RADIUS, MAX_RADIUS};
     let mut acc = 0x5EED_CA7A_106D_0001u64;
     for bits in [
         fit.newton.max_iters as u64,
-        fit.newton.grad_tol.to_bits(),
-        fit.newton.f_tol.to_bits(),
-        fit.newton.initial_radius.to_bits(),
-        fit.newton.max_radius.to_bits(),
+        GRAD_TOL.to_bits(),
+        F_TOL.to_bits(),
+        INITIAL_RADIUS.to_bits(),
+        MAX_RADIUS.to_bits(),
         ACTIVE_NSIGMA.to_bits(),
         MIN_RADIUS_PX.to_bits(),
         MAX_RADIUS_PX.to_bits(),
         fit.bca_passes as u64,
-        fit.laplace_scales as u64,
-        fit.cull_tol.to_bits(),
+        1, // the Laplace scale refresh, always on
+        CULL_TOL.to_bits(),
     ] {
         acc = mix64(acc ^ mix64(bits));
     }
@@ -1046,11 +1049,7 @@ mod tests {
                 threads_per_node: 2,
                 fit: FitConfig {
                     bca_passes: 1,
-                    newton: celeste_core::NewtonConfig {
-                        max_iters: 12,
-                        ..Default::default()
-                    },
-                    ..Default::default()
+                    newton: celeste_core::NewtonConfig { max_iters: 12 },
                 },
                 ..Default::default()
             };

@@ -13,15 +13,9 @@
 
 use std::time::Duration;
 
-/// splitmix64 finalizer: the shared mixing step behind every fault
-/// decision and backoff jitter draw.
-#[inline]
-pub fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
+/// The shared mixing step behind every fault decision and backoff
+/// jitter draw; `celeste_survey`'s image-load faults use the same one.
+pub use celeste_survey::sampling::mix64;
 
 /// A deterministic uniform draw in `[0, 1)` from `(seed, salt, a, b)`.
 #[inline]

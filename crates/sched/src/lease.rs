@@ -79,6 +79,15 @@ impl Clock for VirtualClock {
     }
 }
 
+/// Backoff before retry `n` is `BACKOFF_BASE * 2^(n-2)` (50ms,
+/// 100ms, …), jittered up to +50% and capped at `BACKOFF_CAP`.
+const BACKOFF_BASE: Duration = Duration::from_millis(50);
+/// Upper bound on the (pre-jitter) backoff delay.
+const BACKOFF_CAP: Duration = Duration::from_secs(5);
+/// Seed of the deterministic backoff jitter: the delay before a given
+/// `(task, attempt)` is identical on every run.
+const JITTER_SEED: u64 = 0xCE1E_57E5;
+
 /// Retry and lease policy for one campaign.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RetryPolicy {
@@ -87,14 +96,6 @@ pub struct RetryPolicy {
     /// How long a lease holder has to complete before the task is
     /// reclaimed and reissued.
     pub lease_timeout: Duration,
-    /// Backoff before retry `n` is `base * 2^(n-2)` (50ms, 100ms, …),
-    /// jittered up to +50% and capped at `backoff_cap`.
-    pub backoff_base: Duration,
-    /// Upper bound on the (pre-jitter) backoff delay.
-    pub backoff_cap: Duration,
-    /// Seed of the deterministic backoff jitter: the delay before a
-    /// given `(task, attempt)` is identical on every run.
-    pub jitter_seed: u64,
 }
 
 impl Default for RetryPolicy {
@@ -102,9 +103,6 @@ impl Default for RetryPolicy {
         RetryPolicy {
             max_attempts: 3,
             lease_timeout: Duration::from_secs(30),
-            backoff_base: Duration::from_millis(50),
-            backoff_cap: Duration::from_secs(5),
-            jitter_seed: 0xCE1E_57E5,
         }
     }
 }
@@ -114,11 +112,8 @@ impl RetryPolicy {
     /// (2-based: the first retry) of `task_id` becomes eligible.
     pub fn backoff(&self, task_id: u64, attempt: u32) -> Duration {
         let exp = attempt.saturating_sub(2).min(20);
-        let base = self
-            .backoff_base
-            .saturating_mul(1u32 << exp)
-            .min(self.backoff_cap);
-        let h = mix64(self.jitter_seed ^ mix64(task_id) ^ attempt as u64);
+        let base = BACKOFF_BASE.saturating_mul(1u32 << exp).min(BACKOFF_CAP);
+        let h = mix64(JITTER_SEED ^ mix64(task_id) ^ attempt as u64);
         let jitter = (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64); // [0,1)
         base.mul_f64(1.0 + 0.5 * jitter)
     }
@@ -514,10 +509,9 @@ mod tests {
                 let a = p.backoff(task, attempt);
                 let b = p.backoff(task, attempt);
                 assert_eq!(a, b, "jitter must be a pure function");
-                let base = p
-                    .backoff_base
+                let base = BACKOFF_BASE
                     .saturating_mul(1 << (attempt - 2))
-                    .min(p.backoff_cap);
+                    .min(BACKOFF_CAP);
                 assert!(
                     a >= base && a <= base.mul_f64(1.5),
                     "{a:?} vs base {base:?}"
@@ -528,7 +522,7 @@ mod tests {
         let d: Vec<Duration> = (0..10).map(|t| p.backoff(t, 2)).collect();
         assert!(d.iter().any(|&x| x != d[0]));
         // Growth caps out.
-        assert!(p.backoff(1, 30) <= p.backoff_cap.mul_f64(1.5));
+        assert!(p.backoff(1, 30) <= BACKOFF_CAP.mul_f64(1.5));
     }
 
     #[test]
@@ -557,7 +551,6 @@ mod tests {
         let clock = Arc::new(VirtualClock::default());
         let policy = RetryPolicy {
             max_attempts: 3,
-            backoff_base: Duration::from_millis(10),
             ..Default::default()
         };
         let lg = ledger(1, policy, Arc::clone(&clock) as Arc<dyn Clock>);
@@ -586,7 +579,6 @@ mod tests {
         let clock = Arc::new(VirtualClock::default());
         let policy = RetryPolicy {
             lease_timeout: Duration::from_millis(50),
-            backoff_base: Duration::from_millis(1),
             ..Default::default()
         };
         let lg = ledger(1, policy, Arc::clone(&clock) as Arc<dyn Clock>);

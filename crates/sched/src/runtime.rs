@@ -120,7 +120,6 @@ fn assemble_source(
     images: &[&Image],
     fixed_neighbors: &[SourceParams],
     priors: &ModelPriors,
-    fit_cfg: &FitConfig,
 ) -> Assembled {
     let sp = snap[idx].clone();
     let others: Vec<&SourceParams> = snap
@@ -131,7 +130,7 @@ fn assemble_source(
         .chain(fixed_neighbors.iter())
         .collect();
     let problem = with_fit_state(|state| {
-        SourceProblem::build_with(&sp, images, &others, priors, fit_cfg, &mut state.build)
+        SourceProblem::build_with(&sp, images, &others, priors, &mut state.build)
     });
     Assembled { sp, problem }
 }
@@ -310,14 +309,8 @@ pub fn process_region(
                         // problem and results land in list order, so
                         // output is bit-identical to the serial
                         // schedule.
-                        let mut cur = assemble_source(
-                            snap,
-                            list[0],
-                            images,
-                            fixed_neighbors,
-                            priors,
-                            fit_cfg,
-                        );
+                        let mut cur =
+                            assemble_source(snap, list[0], images, fixed_neighbors, priors);
                         for pos in 0..list.len() {
                             let idx = list[pos];
                             let assembled = cur;
@@ -325,14 +318,7 @@ pub fn process_region(
                                 move || fit_assembled(idx, assembled, fit_cfg),
                                 || {
                                     list.get(pos + 1).map(|&j| {
-                                        assemble_source(
-                                            snap,
-                                            j,
-                                            images,
-                                            fixed_neighbors,
-                                            priors,
-                                            fit_cfg,
-                                        )
+                                        assemble_source(snap, j, images, fixed_neighbors, priors)
                                     })
                                 },
                             );

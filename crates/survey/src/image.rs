@@ -80,11 +80,6 @@ impl Image {
         self.pixels[y * self.width + x] = v;
     }
 
-    /// The sky position of a pixel's center.
-    pub fn pixel_center_sky(&self, x: usize, y: usize) -> crate::skygeom::SkyCoord {
-        self.wcs.pix_to_sky(x as f64 + 0.5, y as f64 + 0.5)
-    }
-
     /// Clip a bounding box `[x0, x1] × [y0, y1]` (fractional pixels) to
     /// the image and return integer pixel ranges `(xs..xe, ys..ye)`.
     pub fn clip_box(
@@ -146,14 +141,5 @@ mod tests {
         let img = test_image();
         let (xs, _) = img.clip_box(100.0, 120.0, 0.0, 1.0);
         assert!(xs.is_empty());
-    }
-
-    #[test]
-    fn pixel_center_sky_roundtrips() {
-        let img = test_image();
-        let s = img.pixel_center_sky(10, 20);
-        let p = img.wcs.sky_to_pix(&s);
-        assert!((p[0] - 10.5).abs() < 1e-9);
-        assert!((p[1] - 20.5).abs() < 1e-9);
     }
 }

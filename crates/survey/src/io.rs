@@ -16,6 +16,7 @@ use crate::codec::{
 };
 use crate::image::Image;
 use crate::psf::{Psf, PsfComponent};
+use crate::sampling::mix64;
 use crate::skygeom::{FieldId, SkyCoord};
 use crate::wcs::Wcs;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -192,14 +193,6 @@ pub struct LoadFaults {
     /// Per-key (loads attempted, failures injected).
     counts: Mutex<HashMap<ImageKey, (u32, u32)>>,
     injected: std::sync::atomic::AtomicU64,
-}
-
-/// splitmix64 finalizer: a cheap, well-mixed 64-bit hash step.
-fn mix64(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
 }
 
 impl LoadFaults {

@@ -4,9 +4,19 @@
 //! `rand_distr`, so the handful of distributions the survey simulator
 //! needs are implemented here: Normal (Box–Muller), LogNormal, Poisson
 //! (Knuth for small rates, PTRS transformed-rejection for large rates),
-//! and categorical draws.
+//! and categorical draws; plus [`mix64`], the hash step behind every
+//! seeded schedule that must not depend on an RNG stream.
 
 use rand::{Rng, RngExt};
+
+/// splitmix64 finalizer: a cheap, well-mixed 64-bit hash step.
+#[inline]
+pub fn mix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
 
 /// Draw a standard normal variate via the Box–Muller transform.
 pub fn standard_normal<R: Rng + ?Sized>(rng: &mut R) -> f64 {

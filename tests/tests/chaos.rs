@@ -71,11 +71,7 @@ fn quick_cfg(n_nodes: usize, retry: RetryPolicy, faults: FaultPlan) -> CampaignC
         threads_per_node: 2,
         fit: celeste_core::FitConfig {
             bca_passes: 1,
-            newton: celeste_core::NewtonConfig {
-                max_iters: 10,
-                ..Default::default()
-            },
-            ..Default::default()
+            newton: celeste_core::NewtonConfig { max_iters: 10 },
         },
         retry,
         faults: Some(faults),
@@ -332,7 +328,6 @@ fn hung_tasks_lose_their_lease_and_are_reissued() {
     let retry = RetryPolicy {
         max_attempts: 4,
         lease_timeout: Duration::from_secs(2),
-        ..Default::default()
     };
     let cfg = quick_cfg(1, retry, faults);
     let clock = Arc::new(VirtualClock::default());
@@ -440,7 +435,6 @@ fn mixed_chaos_on_two_nodes_still_settles_every_task() {
     let retry = RetryPolicy {
         max_attempts: 4,
         lease_timeout: Duration::from_secs(2),
-        ..Default::default()
     };
     let cfg = quick_cfg(2, retry, faults);
     let clock = Arc::new(VirtualClock::default());

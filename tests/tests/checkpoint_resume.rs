@@ -76,11 +76,7 @@ fn quick_cfg() -> celeste_sched::CampaignConfig {
         threads_per_node: 2,
         fit: FitConfig {
             bca_passes: 1,
-            newton: NewtonConfig {
-                max_iters: 10,
-                ..Default::default()
-            },
-            ..Default::default()
+            newton: NewtonConfig { max_iters: 10 },
         },
         ..Default::default()
     }
@@ -168,11 +164,7 @@ fn parity_session() -> Session {
         .n_nodes(1)
         .fit(FitConfig {
             bca_passes: 1,
-            newton: NewtonConfig {
-                max_iters: 10,
-                ..Default::default()
-            },
-            ..Default::default()
+            newton: NewtonConfig { max_iters: 10 },
         })
         .build()
         .unwrap()

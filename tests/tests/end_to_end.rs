@@ -3,7 +3,7 @@
 
 use celeste_core::{FitConfig, ModelPriors, SourceParams};
 use celeste_photo::compare::CompareConfig;
-use celeste_photo::{compare_catalogs, run_photo, PhotoConfig};
+use celeste_photo::{compare_catalogs, run_photo};
 use celeste_sched::{
     partition_sky, run_campaign_with, stage_survey, CampaignConfig, PartitionConfig, RunOptions,
 };
@@ -45,7 +45,7 @@ fn photo_then_celeste_beats_photo_alone() {
     let images = single_epoch_images(&survey);
     let refs: Vec<&Image> = images.iter().collect();
 
-    let photo_catalog = run_photo(&refs, &PhotoConfig::default()).unwrap();
+    let photo_catalog = run_photo(&refs).unwrap();
     assert!(
         photo_catalog.len() >= 3,
         "Photo found only {}",
@@ -138,11 +138,7 @@ fn campaign_matches_direct_region_processing() {
     let priors = ModelPriors::new(Priors::sdss_default());
     let fit = FitConfig {
         bca_passes: 1,
-        newton: celeste_core::NewtonConfig {
-            max_iters: 12,
-            ..Default::default()
-        },
-        ..Default::default()
+        newton: celeste_core::NewtonConfig { max_iters: 12 },
     };
     let cfg = CampaignConfig {
         n_nodes: 2,

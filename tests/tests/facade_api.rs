@@ -39,11 +39,7 @@ fn tiny_survey() -> SyntheticSurvey {
 fn quick_fit() -> FitConfig {
     FitConfig {
         bca_passes: 1,
-        newton: celeste::NewtonConfig {
-            max_iters: 10,
-            ..Default::default()
-        },
-        ..Default::default()
+        newton: celeste::NewtonConfig { max_iters: 10 },
     }
 }
 
@@ -396,11 +392,11 @@ fn builder_rejects_invalid_knobs() {
         other => panic!("want Config error, got {:?}", other.map(|_| ())),
     }
     let bad_fit = FitConfig {
-        cull_tol: f64::NAN,
+        bca_passes: 0,
         ..Default::default()
     };
     match Celeste::builder().fit(bad_fit).build() {
-        Err(CelesteError::Config { field, .. }) => assert_eq!(field, "fit.cull_tol"),
+        Err(CelesteError::Config { field, .. }) => assert_eq!(field, "fit.bca_passes"),
         other => panic!("want Config error, got {:?}", other.map(|_| ())),
     }
     let bad_retry = celeste::RetryPolicy {

@@ -87,11 +87,7 @@ fn parity_session() -> Session {
         .n_nodes(1)
         .fit(FitConfig {
             bca_passes: 1,
-            newton: celeste::NewtonConfig {
-                max_iters: 10,
-                ..Default::default()
-            },
-            ..Default::default()
+            newton: celeste::NewtonConfig { max_iters: 10 },
         })
         .build()
         .unwrap()

@@ -61,11 +61,7 @@ fn tiny_survey() -> SyntheticSurvey {
 fn quick_fit() -> FitConfig {
     FitConfig {
         bca_passes: 1,
-        newton: celeste::NewtonConfig {
-            max_iters: 10,
-            ..Default::default()
-        },
-        ..Default::default()
+        newton: celeste::NewtonConfig { max_iters: 10 },
     }
 }
 
