@@ -14,7 +14,7 @@ use crate::likelihood::{
 };
 use crate::newton::{maximize_with, EvalWorkspace, NewtonConfig, NewtonStats, Objective};
 use crate::params::{ids, SourceParams, NUM_PARAMS};
-use celeste_linalg::SymEigen;
+use celeste_linalg::{Mat, SymEigen};
 use celeste_survey::gmm::Gmm;
 use celeste_survey::render::source_gmm_pix;
 use celeste_survey::Image;
@@ -387,15 +387,14 @@ pub fn fit_source_with(
     cfg: &FitConfig,
     ws: &mut SourceWorkspace,
 ) -> FitStats {
-    let before = problem.value(&source.params);
     let mut x = source.params;
     let newton = maximize_with(problem, &mut x, &cfg.newton, ws);
     source.params = x;
-    laplace_update_scales(source, problem, ws);
+    laplace_update_scales(source, &ws.hess);
     FitStats {
         newton,
         active_pixels: problem.active_pixels(),
-        elbo_before: before,
+        elbo_before: newton.start_value,
         elbo_after: newton.value,
     }
 }
@@ -404,14 +403,10 @@ pub fn fit_source_with(
 /// the maximized objective: the observed information `−∇²L` maps to
 /// posterior variances via its inverse (Laplace-within-VI; documented
 /// deviation in DESIGN.md — the paper's u and φ are point-optimized
-/// too, with uncertainty only on a, r, c).
-fn laplace_update_scales(
-    source: &mut SourceParams,
-    problem: &SourceProblem,
-    ws: &mut SourceWorkspace,
-) {
-    problem.eval_into(&source.params, ws);
-    let mut info = ws.hess.clone();
+/// too, with uncertainty only on a, r, c). `hess` is the Hessian at
+/// `source.params`, as [`maximize_with`] leaves it in its workspace.
+fn laplace_update_scales(source: &mut SourceParams, hess: &Mat) {
+    let mut info = hess.clone();
     info.scale(-1.0);
     let eig = SymEigen::new(&info);
     // Floor tiny/negative curvature so the inverse stays meaningful.

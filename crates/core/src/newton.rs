@@ -162,6 +162,8 @@ pub struct NewtonStats {
     pub full_evals: usize,
     /// Value-only evaluations.
     pub value_evals: usize,
+    /// Objective value at the starting point.
+    pub start_value: f64,
     /// Final objective value.
     pub value: f64,
     /// Final gradient max-norm.
@@ -184,7 +186,9 @@ pub fn maximize<O: Objective>(obj: &O, x: &mut [f64], cfg: &NewtonConfig) -> New
 /// every trial-point value — goes through workspace-owned buffers, so
 /// a warmed-up workspace makes the entire call heap-allocation-free
 /// (enforced by the counting-allocator test in
-/// `crates/core/tests/hotpath.rs`).
+/// `crates/core/tests/hotpath.rs`). On return, `ws.value`, `ws.grad`
+/// and `ws.hess` hold the evaluation at the returned `x`: a rejected
+/// trial touches only `ws.scratch`.
 pub fn maximize_with<O: Objective>(
     obj: &O,
     x: &mut [f64],
@@ -199,6 +203,7 @@ pub fn maximize_with<O: Objective>(
 
     obj.eval_into(x, ws);
     stats.full_evals += 1;
+    stats.start_value = ws.value;
     for iter in 0..cfg.max_iters {
         stats.iterations = iter;
         stats.grad_norm = vecops::max_abs(&ws.grad);

@@ -61,7 +61,8 @@ pub fn estimate_shape(
     }
 }
 
-fn psf_variance(psf: &Psf) -> f64 {
+/// Weight-averaged variance of the PSF's components, pixel².
+pub(crate) fn psf_variance(psf: &Psf) -> f64 {
     psf.components
         .iter()
         .map(|c| c.weight * c.sigma_px * c.sigma_px)

@@ -1,7 +1,7 @@
 //! The end-to-end Photo pipeline driver.
 
 use crate::background::{estimate_background, Background};
-use crate::classify::{classify, estimate_shape};
+use crate::classify::{classify, estimate_shape, psf_variance};
 use crate::detect::detect;
 use crate::measure::{
     adaptive_moments, aperture_flux_nmgy, flux_radius, model_aperture_fraction, moments,
@@ -66,6 +66,7 @@ pub fn run_photo(images: &[&Image]) -> Result<Catalog, PhotoError> {
         .iter()
         .map(|c| c.sigma_px)
         .fold(0.0_f64, f64::max);
+    let psf_var = psf_variance(&r_img.psf);
     let detections = detect(r_img, &r_bg);
     let mut entries = Vec::with_capacity(detections.len());
     for (i, det) in detections.iter().enumerate() {
@@ -91,16 +92,8 @@ pub fn run_photo(images: &[&Image]) -> Result<Catalog, PhotoError> {
         // with the measured-object model (Photo's "model photometry"):
         // wing loss outside the aperture is estimated from a Gaussian
         // of the source's measured size convolved with the PSF.
-        let psf_var = 0.5 * (m.ixx + m.iyy) - 0.0; // observed variance
-        let obj_var = (psf_var
-            - r_img
-                .psf
-                .components
-                .iter()
-                .map(|c| c.weight * c.sigma_px * c.sigma_px)
-                .sum::<f64>()
-                / r_img.psf.total_weight())
-        .max(0.0);
+        let obs_var = 0.5 * (m.ixx + m.iyy);
+        let obj_var = (obs_var - psf_var).max(0.0);
         let mut fluxes = [0.0f64; NUM_BANDS];
         for b in 0..NUM_BANDS {
             if let (Some(img), Some(bg)) = (by_band[b], backgrounds[b].as_ref()) {

@@ -134,10 +134,17 @@ impl Gmm {
         Gmm::new(out)
     }
 
-    /// Conservative radius (pixels) beyond which density is negligible:
-    /// `nsigma` times the largest component sigma, measured from the
-    /// weighted mean center.
+    /// Conservative radius (pixels), measured from the mixture's
+    /// weight-weighted mean, beyond which density is negligible:
+    /// `nsigma` times the largest component sigma plus the largest
+    /// component offset from that mean. Translation-invariant: a
+    /// [`Gmm::shifted`] copy has the same radius.
     pub fn support_radius(&self, nsigma: f64) -> f64 {
+        let w = self.total_weight();
+        let (mx, my) = self.components.iter().fold((0.0, 0.0), |(x, y), c| {
+            (x + c.weight * c.mean[0], y + c.weight * c.mean[1])
+        });
+        let (mx, my) = (mx / w, my / w);
         let max_sd = self
             .components
             .iter()
@@ -146,7 +153,7 @@ impl Gmm {
         let max_off = self
             .components
             .iter()
-            .map(|c| (c.mean[0].powi(2) + c.mean[1].powi(2)).sqrt())
+            .map(|c| (c.mean[0] - mx).hypot(c.mean[1] - my))
             .fold(0.0_f64, f64::max);
         nsigma * max_sd + max_off
     }
@@ -283,5 +290,30 @@ mod tests {
         assert!((r - 10.0).abs() < 1e-12);
         // At 5σ the density is e^{−12.5} ≈ 3.7e−6 of the peak.
         assert!(g.eval(r, 0.0) < 1e-5 * g.eval(0.0, 0.0));
+    }
+
+    #[test]
+    fn support_radius_is_translation_invariant() {
+        let g = Gmm::new(vec![
+            BvnComponent {
+                weight: 0.7,
+                mean: [0.5, -0.25],
+                cov: Cov2::isotropic(2.25),
+            },
+            BvnComponent {
+                weight: 0.3,
+                mean: [-1.0, 0.75],
+                cov: Cov2 {
+                    xx: 9.0,
+                    xy: 1.0,
+                    yy: 4.0,
+                },
+            },
+        ]);
+        let r = g.support_radius(5.0);
+        for (dx, dy) in [(60.0, 60.0), (-60.0, 60.0), (60.0, -60.0), (-60.0, -60.0)] {
+            let rs = g.shifted(dx, dy).support_radius(5.0);
+            assert!((rs - r).abs() < 1e-9, "shift ({dx}, {dy}): {rs} vs {r}");
+        }
     }
 }

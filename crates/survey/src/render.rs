@@ -5,6 +5,10 @@
 //! where `g_s` is the PSF mixture for a star or the shape-transformed
 //! profile mixture convolved with the PSF for a galaxy; pixel values
 //! are then drawn `x ~ Poisson(F)`.
+//!
+//! Each source is evaluated only inside its own box of
+//! `RENDER_NSIGMA` (= 5) times its widest component sigma around its
+//! centre; pixels outside that box get nothing from it.
 
 use crate::catalog::{Catalog, CatalogEntry};
 use crate::galaxy::galaxy_mixture_sky;
@@ -74,9 +78,7 @@ pub fn accumulate_expected(catalog: &Catalog, img: &Image, expected: &mut [f64])
             }
             let gmm = source_gmm_pix(entry, img);
             let center = img.wcs.sky_to_pix(&entry.pos);
-            let r = gmm
-                .support_radius(RENDER_NSIGMA)
-                .min(img.width.max(img.height) as f64);
+            let r = gmm.support_radius(RENDER_NSIGMA);
             let (xs, ys) = img.clip_box(center[0] - r, center[0] + r, center[1] - r, center[1] + r);
             Some(Prepared {
                 gmm,
@@ -238,6 +240,27 @@ mod tests {
         let expected: f64 = render_expected(&cat, &img).iter().sum();
         // Poisson sd ≈ √expected ≈ 1000; allow 5σ.
         assert!((total - expected).abs() < 5.0 * expected.sqrt());
+    }
+
+    #[test]
+    fn corner_star_renders_only_inside_its_box() {
+        let mut img = test_image();
+        img.sky_level = 0.0;
+        let mut star = star_at_center(10.0);
+        star.pos = img.wcs.pix_to_sky(80.3, 84.6);
+        let c = img.wcs.sky_to_pix(&star.pos);
+        // The test PSF is one Gaussian of σ = 1.5 px.
+        let r = RENDER_NSIGMA * 1.5;
+        let (xs, ys) = img.clip_box(c[0] - r, c[0] + r, c[1] - r, c[1] + r);
+        let expected = render_expected(&Catalog::new(vec![star]), &img);
+        for (i, &e) in expected.iter().enumerate() {
+            let (x, y) = (i % img.width, i / img.width);
+            if xs.contains(&x) && ys.contains(&y) {
+                assert!(e > 0.0, "pixel ({x}, {y}) inside the box is empty");
+            } else {
+                assert_eq!(e, 0.0, "pixel ({x}, {y}) outside the box got {e:e}");
+            }
+        }
     }
 
     #[test]
