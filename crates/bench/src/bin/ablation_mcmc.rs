@@ -8,7 +8,7 @@
 
 use celeste_core::mcmc::{metropolis, McmcConfig};
 use celeste_core::newton::Objective;
-use celeste_core::{ModelPriors, SourceParams};
+use celeste_core::{source_workspace, ModelPriors, SourceParams, SourceScratch};
 use celeste_survey::Priors;
 use std::time::Instant;
 
@@ -36,7 +36,8 @@ fn main() {
         // VI: Newton trust region.
         let mut x = sp.params.to_vec();
         let t0 = Instant::now();
-        let stats = celeste_core::maximize(&problem, &mut x, &cfg.newton);
+        let mut ws = source_workspace();
+        let stats = celeste_core::maximize_with(&problem, &mut x, &cfg.newton, &mut ws);
         let t_vi = t0.elapsed().as_secs_f64();
         let vi_evals = stats.full_evals + stats.value_evals;
 
@@ -48,7 +49,9 @@ fn main() {
             ..Default::default()
         };
         let t1 = Instant::now();
-        let r = metropolis(|p| problem.value(p), &sp.params, &mcmc_cfg, 0xC4A1);
+        let mut scratch = SourceScratch::default();
+        let log_density = |p: &[f64]| problem.value_into(p, &mut scratch);
+        let r = metropolis(log_density, &sp.params, &mcmc_cfg, 0xC4A1);
         let t_mcmc = t1.elapsed().as_secs_f64();
 
         println!(

@@ -7,31 +7,36 @@
 //! of iterations", while "computing the Hessian along with the
 //! gradient … takes 3x longer" per evaluation.
 
-use celeste_core::newton::{maximize, NewtonConfig, Objective};
+use celeste_core::newton::{maximize_with, EvalWorkspace, NewtonConfig, Objective};
 use celeste_core::{ModelPriors, SourceParams};
 use celeste_linalg::vecops;
 use celeste_survey::Priors;
 use std::time::Instant;
 
-/// Gradient ascent with backtracking line search on the same objective.
-fn gradient_ascent(
-    obj: &impl Objective,
+/// Gradient ascent with backtracking line search on the same
+/// objective, evaluated in the same kind of workspace Newton uses.
+fn gradient_ascent<O: Objective>(
+    obj: &O,
     x: &mut [f64],
     max_iters: usize,
     tol: f64,
 ) -> (usize, f64) {
-    let mut f = obj.value(x);
+    let mut ws = EvalWorkspace::<O::Scratch>::new(obj.dim());
+    let mut trial = vec![0.0; x.len()];
+    let mut f = obj.value_into(x, &mut ws.scratch);
     let mut step = 1e-3;
     for iter in 0..max_iters {
-        let (_, grad, _) = obj.eval(x);
-        if vecops::max_abs(&grad) < tol {
+        obj.eval_into(x, &mut ws);
+        if vecops::max_abs(&ws.grad) < tol {
             return (iter, f);
         }
         // Backtracking.
         let mut accepted = false;
         for _ in 0..30 {
-            let trial: Vec<f64> = x.iter().zip(&grad).map(|(xi, gi)| xi + step * gi).collect();
-            let ft = obj.value(&trial);
+            for ((t, xi), gi) in trial.iter_mut().zip(x.iter()).zip(&ws.grad) {
+                *t = xi + step * gi;
+            }
+            let ft = obj.value_into(&trial, &mut ws.scratch);
             if ft > f {
                 x.copy_from_slice(&trial);
                 f = ft;
@@ -74,7 +79,8 @@ fn main() {
         // Newton TR.
         let mut xn = sp.params.to_vec();
         let t0 = Instant::now();
-        let stats = maximize(&problem, &mut xn, &NewtonConfig::default());
+        let mut ws = EvalWorkspace::new(problem.dim());
+        let stats = maximize_with(&problem, &mut xn, &NewtonConfig::default(), &mut ws);
         let t_newton = t0.elapsed().as_secs_f64();
         // First-order.
         let mut xg = sp.params.to_vec();

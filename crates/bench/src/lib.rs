@@ -54,21 +54,28 @@ pub fn audit_flops_per_visit() -> f64 {
 
 /// Measure the full-derivative / value-only cost ratio (the paper's
 /// "computing the Hessian along with the gradient … takes 3x longer").
+/// Times the production `_into` kernels exactly (culling tolerance 0)
+/// with their scratch and outputs built once, outside the timed loops.
 pub fn measure_deriv_cost_ratio() -> f64 {
+    use celeste_core::likelihood::{add_likelihood_into, likelihood_value_into, LikScratch};
     use std::time::Instant;
     let (params, blocks) = audit_fixture();
     let reps = 50;
+    let mut scratch = LikScratch::default();
+    let mut g = [0.0; celeste_core::NUM_PARAMS];
+    let mut h = celeste_linalg::Mat::zeros(celeste_core::NUM_PARAMS, celeste_core::NUM_PARAMS);
+    likelihood_value_into(&params, &blocks, &mut scratch, 0.0); // sizes the scratch
     let t0 = Instant::now();
     for _ in 0..reps {
-        let _ = celeste_core::likelihood::likelihood_value(&params, &blocks);
+        std::hint::black_box(likelihood_value_into(&params, &blocks, &mut scratch, 0.0));
     }
     let value_t = t0.elapsed().as_secs_f64();
     let t1 = Instant::now();
     for _ in 0..reps {
-        let mut g = [0.0; celeste_core::NUM_PARAMS];
-        let mut h = celeste_linalg::Mat::zeros(celeste_core::NUM_PARAMS, celeste_core::NUM_PARAMS);
-        let _ = celeste_core::likelihood::add_likelihood(&params, &blocks, &mut g, &mut h);
+        add_likelihood_into(&params, &blocks, &mut g, &mut h, &mut scratch, 0.0);
     }
+    // The kernel adds into g and h, so they carry every repetition.
+    std::hint::black_box((&g, &h));
     let deriv_t = t1.elapsed().as_secs_f64();
     deriv_t / value_t.max(1e-12)
 }
@@ -215,7 +222,7 @@ pub struct TableIIResult {
 /// that this protocol's systematic errors "typically favor Photo".
 /// Our survey is synthetic, so absolute truth *is* knowable: the
 /// primary scoring here uses the generating catalog, and the paper's
-/// coadd protocol is reported alongside (see DESIGN.md S5/S6 notes).
+/// coadd protocol is reported alongside (README, "Paper → code map").
 ///
 /// Pipeline: Photo on the deep coadds (prior learning + the coadd
 /// protocol's reference), Photo on the single run (baseline + Celeste

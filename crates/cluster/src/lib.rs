@@ -1,4 +1,5 @@
-//! Discrete-event simulation of the petascale campaign (DESIGN.md S11).
+//! Discrete-event simulation of the petascale campaign (README, "Paper →
+//! code map").
 //!
 //! The paper's headline runs use 8,192–9,600 Cori KNL nodes — hardware
 //! this reproduction does not have. Following the substitution rule,

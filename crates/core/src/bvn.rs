@@ -158,20 +158,18 @@ pub const LANE: usize = 8;
 /// Fused-multiply-add strategy for the per-pixel kernels
 /// ([`celeste_linalg::fused`]): the production kernel is instantiated
 /// once with plain `a*b + c` (portable baseline) and once with
-/// [`f64::mul_add`] inside an `avx2,fma` target-feature function. The
-/// FMA form is at least as accurate as mul-then-add (one rounding
-/// instead of two), so both instantiations agree with the frozen
-/// reference kernel within the 1e-12 parity bar — but they are not
-/// bit-identical to each other, so **every** evaluation path (value
-/// and derivative alike) dispatches through the same process-global
-/// [`fused::fma_enabled`] decision: a component whose quadratic form
-/// straddles its screening cut must be culled in both paths or
-/// neither, or the trust region's value and gradient become mutually
-/// inconsistent at the cut.
-use celeste_linalg::fused::{self, Madd as Fma, ScalarMadd};
-
-#[cfg(target_arch = "x86_64")]
-use celeste_linalg::fused::HwFma;
+/// [`f64::mul_add`] inside the `avx2,fma` function of
+/// [`fused::dispatch`]. The FMA form is at least as accurate as
+/// mul-then-add (one rounding instead of two), so both instantiations
+/// agree with the frozen reference kernel within the 1e-12 parity
+/// bar — but they are not bit-identical to each other, so **every**
+/// evaluation path (value and derivative alike) runs at the one
+/// strategy the process-global decision picked: a component whose
+/// quadratic form straddles its screening cut must be culled in both
+/// paths or neither, or the trust region's value and gradient become
+/// mutually inconsistent at the cut.
+use celeste_linalg::fused::{self, Kernel, Madd as Fma, ScalarMadd};
+use std::marker::PhantomData;
 
 /// Batch width of the vectorized survivor path: exponentials and
 /// derivative assembly run over this many surviving components in
@@ -834,12 +832,23 @@ impl Appearance {
     }
 
     /// Evaluate value/gradient/Hessian at a pixel center: the
-    /// production derivative kernel.
+    /// production derivative kernel, dispatched for this one call.
     pub fn eval(&self, px: f64, py: f64) -> GeoEval {
         if self.shape {
             walk_dispatched::<GeoSum<true>>(self, px, py)
         } else {
             walk_dispatched::<GeoSum<false>>(self, px, py)
+        }
+    }
+
+    /// [`Self::eval`] at madd strategy `F`, for kernels already inside
+    /// [`fused::dispatch`].
+    #[inline(always)]
+    pub(crate) fn eval_at<F: Fma>(&self, px: f64, py: f64) -> GeoEval {
+        if self.shape {
+            walk_at::<F, GeoSum<true>>(self, px, py)
+        } else {
+            walk_at::<F, GeoSum<false>>(self, px, py)
         }
     }
 
@@ -852,6 +861,13 @@ impl Appearance {
     /// assembly, roughly 4× cheaper per pixel.
     pub fn eval_value(&self, px: f64, py: f64) -> f64 {
         walk_dispatched::<ValueSum>(self, px, py)
+    }
+
+    /// [`Self::eval_value`] at madd strategy `F`, for kernels already
+    /// inside [`fused::dispatch`].
+    #[inline(always)]
+    pub(crate) fn eval_value_at<F: Fma>(&self, px: f64, py: f64) -> f64 {
+        walk_at::<F, ValueSum>(self, px, py)
     }
 
     /// The portable (non-SIMD) kernel instantiation, bypassing the
@@ -1147,36 +1163,34 @@ fn walk<F: Fma, S: Sink, const BATCH: bool>(a: &Appearance, px: f64, py: f64) ->
     sink.finish::<BATCH>()
 }
 
-/// Run [`walk`] under the process-global [`fused::fma_enabled`]
-/// decision — the only dispatch point of the kernel, shared by every
-/// sink, so the value and derivative paths round their screening
-/// quadratic forms identically. (An earlier revision pinned the value
-/// path to the portable instantiation while the derivative path
-/// dispatched hardware FMA; near `qf_cut` the two could then disagree
-/// on culling, making trust-region values and gradients mutually
-/// inconsistent.)
-fn walk_dispatched<S: Sink>(a: &Appearance, px: f64, py: f64) -> S::Out {
-    #[cfg(target_arch = "x86_64")]
-    if fused::fma_enabled() {
-        // SAFETY: fma_enabled() verified avx2+fma at runtime.
-        return unsafe { walk_fma::<S>(a, px, py) };
+/// The [`walk`] a madd strategy takes: under hardware FMA, mixtures
+/// larger than the sink's [`Sink::SMALL`] cutoff take the batched
+/// walk and smaller ones stream (same madds, so screening rounds
+/// identically either way); the portable strategy always streams.
+#[inline(always)]
+fn walk_at<F: Fma, S: Sink>(a: &Appearance, px: f64, py: f64) -> S::Out {
+    if F::FUSED && a.lanes.len() > S::SMALL {
+        walk::<F, S, true>(a, px, py)
+    } else {
+        walk::<F, S, false>(a, px, py)
     }
-    walk::<ScalarMadd, S, false>(a, px, py)
 }
 
-/// The `avx2,fma` instantiation: mixtures larger than the sink's
-/// [`Sink::SMALL`] cutoff take the batched walk, smaller ones stream
-/// (same `HwFma` madds, so screening rounds identically either way).
-///
-/// # Safety
-/// Caller must have verified `avx2`+`fma` support at runtime.
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "avx2,fma")]
-unsafe fn walk_fma<S: Sink>(a: &Appearance, px: f64, py: f64) -> S::Out {
-    if a.lanes.len() <= S::SMALL {
-        walk::<HwFma, S, false>(a, px, py)
-    } else {
-        walk::<HwFma, S, true>(a, px, py)
+/// One standalone pixel walk with sink `S`, under its own
+/// [`fused::dispatch`] (the public per-pixel entry points).
+fn walk_dispatched<S: Sink>(a: &Appearance, px: f64, py: f64) -> S::Out {
+    fused::dispatch(Walk::<S>(a, px, py, PhantomData))
+}
+
+/// The arguments of [`walk_dispatched`], as a dispatch kernel.
+struct Walk<'a, S>(&'a Appearance, f64, f64, PhantomData<S>);
+
+impl<S: Sink> Kernel for Walk<'_, S> {
+    type Out = S::Out;
+
+    #[inline(always)]
+    fn run<F: Fma>(self) -> S::Out {
+        walk_at::<F, S>(self.0, self.1, self.2)
     }
 }
 
@@ -1736,6 +1750,8 @@ fn eval_prepared_reference(
 #[cfg(test)]
 mod tests {
     use super::*;
+    #[cfg(target_arch = "x86_64")]
+    use celeste_linalg::fused::HwFma;
     use celeste_survey::psf::PsfComponent;
 
     const JAC: [[f64; 2]; 2] = [[0.7, 0.05], [-0.03, 0.71]]; // px per arcsec

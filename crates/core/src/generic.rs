@@ -264,7 +264,7 @@ pub fn lift<T: Real>(params: &[f64; NUM_PARAMS]) -> [T; NUM_PARAMS] {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::likelihood::{add_likelihood, likelihood_value, ActivePixel};
+    use crate::likelihood::{add_likelihood_into, likelihood_value_into, ActivePixel, LikScratch};
     use celeste_linalg::Mat;
     use celeste_survey::psf::Psf;
 
@@ -320,7 +320,7 @@ mod tests {
         let p = test_params();
         let blocks = vec![test_block()];
         let generic = likelihood::<f64>(&p, &blocks);
-        let hand = likelihood_value(&p, &blocks);
+        let hand = likelihood_value_into(&p, &blocks, &mut LikScratch::default(), 0.0);
         assert!(
             (generic - hand).abs() < 1e-8 * (1.0 + hand.abs()),
             "generic {generic} vs hand {hand}"
@@ -348,7 +348,14 @@ mod tests {
         // Hand-coded gradient of the full ELBO.
         let mut grad = [0.0; NUM_PARAMS];
         let mut hess = Mat::zeros(NUM_PARAMS, NUM_PARAMS);
-        add_likelihood(&p, &blocks, &mut grad, &mut hess);
+        add_likelihood_into(
+            &p,
+            &blocks,
+            &mut grad,
+            &mut hess,
+            &mut LikScratch::default(),
+            0.0,
+        );
         let mut kl_grad = [0.0; NUM_PARAMS];
         let mut kl_hess = Mat::zeros(NUM_PARAMS, NUM_PARAMS);
         crate::kl::add_kl(&p, &priors, &mut kl_grad, &mut kl_hess);
@@ -379,7 +386,14 @@ mod tests {
 
         let mut grad = [0.0; NUM_PARAMS];
         let mut hess = Mat::zeros(NUM_PARAMS, NUM_PARAMS);
-        add_likelihood(&p, &blocks, &mut grad, &mut hess);
+        add_likelihood_into(
+            &p,
+            &blocks,
+            &mut grad,
+            &mut hess,
+            &mut LikScratch::default(),
+            0.0,
+        );
         let mut kl_grad = [0.0; NUM_PARAMS];
         let mut kl_hess = Mat::zeros(NUM_PARAMS, NUM_PARAMS);
         crate::kl::add_kl(&p, &priors, &mut kl_grad, &mut kl_hess);

@@ -14,7 +14,6 @@ use crate::likelihood::{
 };
 use crate::newton::{maximize_with, EvalWorkspace, NewtonConfig, NewtonStats, Objective};
 use crate::params::{ids, SourceParams, NUM_PARAMS};
-use celeste_linalg::{Mat, SymEigen};
 use celeste_survey::gmm::Gmm;
 use celeste_survey::render::source_gmm_pix;
 use celeste_survey::Image;
@@ -234,11 +233,6 @@ impl Objective for SourceProblem {
         ws.value = lik - kl;
     }
 
-    fn value(&self, x: &[f64]) -> f64 {
-        let mut scratch = SourceScratch::default();
-        self.value_into(x, &mut scratch)
-    }
-
     fn value_into(&self, x: &[f64], scratch: &mut SourceScratch) -> f64 {
         let params: [f64; NUM_PARAMS] = x.try_into().expect("dim");
         likelihood_value_into(&params, &self.blocks, &mut scratch.lik, CULL_TOL)
@@ -378,9 +372,11 @@ pub fn fit_source(
 
 /// Fit one source to convergence reusing the caller's workspace: the
 /// whole Newton loop (all iterations and trust-region trials) runs
-/// against the same gradient/Hessian/scratch buffers. The
+/// against the same gradient/Hessian/scratch buffers, and the
 /// position/shape uncertainty scales are then refreshed from the
-/// curvature at the optimum.
+/// curvature at the optimum in the same workspace's eigen solver. A
+/// warmed-up workspace makes the whole fit heap-allocation-free
+/// (enforced by `crates/core/tests/hotpath.rs`).
 pub fn fit_source_with(
     source: &mut SourceParams,
     problem: &SourceProblem,
@@ -390,7 +386,7 @@ pub fn fit_source_with(
     let mut x = source.params;
     let newton = maximize_with(problem, &mut x, &cfg.newton, ws);
     source.params = x;
-    laplace_update_scales(source, &ws.hess);
+    laplace_update_scales(source, ws);
     FitStats {
         newton,
         active_pixels: problem.active_pixels(),
@@ -401,24 +397,23 @@ pub fn fit_source_with(
 
 /// Refresh the position/shape uncertainty scales from the curvature of
 /// the maximized objective: the observed information `−∇²L` maps to
-/// posterior variances via its inverse (Laplace-within-VI; documented
-/// deviation in DESIGN.md — the paper's u and φ are point-optimized
-/// too, with uncertainty only on a, r, c). `hess` is the Hessian at
-/// `source.params`, as [`maximize_with`] leaves it in its workspace.
-fn laplace_update_scales(source: &mut SourceParams, hess: &Mat) {
-    let mut info = hess.clone();
-    info.scale(-1.0);
-    let eig = SymEigen::new(&info);
+/// posterior variances via its inverse — Laplace within VI, a
+/// deviation from the paper, whose u and φ are point-optimized with
+/// uncertainty only on a, r, c (README, "Deviations from the paper").
+/// `ws.hess` is the Hessian at `source.params`, as [`maximize_with`]
+/// leaves it. Only the six variances stored are computed: diagonal
+/// entries of `V diag(1/max(λ, floor)) Vᵀ` over the eigenpairs of
+/// `−∇²L`, read off the workspace's eigen solver without allocating.
+fn laplace_update_scales(source: &mut SourceParams, ws: &mut SourceWorkspace) {
+    let eig = ws.decompose_neg_hess();
     // Floor tiny/negative curvature so the inverse stays meaningful.
     let floor = 1e-6 * eig.values().last().copied().unwrap_or(1.0).abs().max(1e-6);
-    let cov = eig.rebuild_with(|l| 1.0 / l.max(floor));
+    let variance = |i: usize| eig.spectral_diag(i, |l| 1.0 / l.max(floor)).max(1e-12);
     for j in 0..2 {
-        let var = cov[(ids::U[j], ids::U[j])].max(1e-12);
-        source.params[ids::U_LSD[j]] = 0.5 * var.ln();
+        source.params[ids::U_LSD[j]] = 0.5 * variance(ids::U[j]).ln();
     }
     for j in 0..4 {
-        let var = cov[(ids::SHAPE[j], ids::SHAPE[j])].max(1e-12);
-        source.params[ids::SHAPE_LSD[j]] = 0.5 * var.ln();
+        source.params[ids::SHAPE_LSD[j]] = 0.5 * variance(ids::SHAPE[j]).ln();
     }
 }
 
@@ -462,6 +457,7 @@ pub fn optimize_sources(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use celeste_linalg::Mat;
     use celeste_survey::bands::Band;
     use celeste_survey::catalog::{Catalog, CatalogEntry, GalaxyShape, SourceType};
     use celeste_survey::psf::Psf;
@@ -508,6 +504,74 @@ mod tests {
 
     fn priors() -> ModelPriors {
         ModelPriors::new(Priors::sdss_default())
+    }
+
+    /// Symmetric `n × n` matrix with entries from a fixed LCG stream:
+    /// `definite` gives `−(BᵀB + I)` (so `−H` is positive definite),
+    /// otherwise `B + Bᵀ`, indefinite.
+    fn random_hessian(n: usize, seed: u64, definite: bool) -> Mat {
+        let mut state = seed;
+        let b = Mat::from_fn(n, n, |_, _| {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64 * 2.0 - 1.0
+        });
+        if definite {
+            let mut h = b.t().matmul(&b);
+            h.add_scaled(1.0, &Mat::from_diag(&vec![1.0; n]));
+            h.scale(-1.0);
+            h
+        } else {
+            let mut h = b.clone();
+            h.add_scaled(1.0, &b.t());
+            h
+        }
+    }
+
+    #[test]
+    fn laplace_refresh_is_the_floored_inverse_diagonal_bit_for_bit() {
+        // One workspace across seeds: the refresh must not depend on
+        // what its eigen solver held before.
+        let mut ws = source_workspace();
+        let mut floored = 0;
+        for seed in 0..6 {
+            let hess = random_hessian(NUM_PARAMS, seed, seed % 3 == 0);
+            // Reference: the full V·diag(1/max(λ, floor))·Vᵀ of −H,
+            // assembled column by column.
+            let mut info = hess.clone();
+            info.scale(-1.0);
+            let mut eig = celeste_linalg::EigenWorkspace::new(NUM_PARAMS);
+            eig.compute(&info);
+            let floor = 1e-6 * eig.values()[NUM_PARAMS - 1].abs().max(1e-6);
+            floored += eig.values().iter().filter(|&&l| l < floor).count();
+            let mut cov = Mat::zeros(NUM_PARAMS, NUM_PARAMS);
+            for j in 0..NUM_PARAMS {
+                let col: Vec<f64> = (0..NUM_PARAMS).map(|i| eig.vectors()[(i, j)]).collect();
+                cov.rank1_update(1.0 / eig.values()[j].max(floor), &col, &col);
+            }
+
+            ws.hess.copy_from(&hess);
+            let mut sp = SourceParams::init_from_entry(&star(5.0));
+            let before = sp.params;
+            laplace_update_scales(&mut sp, &mut ws);
+            let pairs = ids::U.iter().zip(&ids::U_LSD);
+            for (&i, &lsd) in pairs.chain(ids::SHAPE.iter().zip(&ids::SHAPE_LSD)) {
+                let want = 0.5 * cov[(i, i)].max(1e-12).ln();
+                assert_eq!(
+                    sp.params[lsd].to_bits(),
+                    want.to_bits(),
+                    "seed {seed} slot {i}"
+                );
+            }
+            // Nothing but the six log-sd slots moves.
+            for (k, (a, b)) in sp.params.iter().zip(&before).enumerate() {
+                if !ids::U_LSD.contains(&k) && !ids::SHAPE_LSD.contains(&k) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "slot {k}");
+                }
+            }
+        }
+        assert!(floored > 0, "the indefinite cases must exercise the floor");
     }
 
     #[test]

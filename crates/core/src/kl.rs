@@ -236,7 +236,8 @@ fn color_kl(params: &[f64; NUM_PARAMS], priors: &ModelPriors, t: usize) -> Term<
     for j in 0..K_COLOR {
         grad[2 * NUM_COLORS + j] = kap[j] * (a[j] - abar);
     }
-    // Logit-logit Hessian (see DESIGN notes): for i, j:
+    // Logit-logit Hessian, from ∂κ_j/∂l_i = κ_j(δ_ij−κ_i), so
+    // ∂A_j/∂l_i = δ_ij−κ_i and ∂Ā/∂l_i = κ_i(A_i−Ā): for i, j:
     // H_ij = κ_j(δ_ij−κ_i)(A_j−Ā) + κ_j[(δ_ij−κ_i) − κ_i(A_i−Ā)].
     for i in 0..K_COLOR {
         for j in 0..K_COLOR {

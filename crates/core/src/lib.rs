@@ -1,6 +1,7 @@
 #![allow(clippy::needless_range_loop)] // lockstep-indexed numeric kernels
 //! Celeste's core: the statistical model and variational inference
-//! engine (the paper's primary contribution; DESIGN.md S1, S2, S12).
+//! engine (the paper's primary contribution; README, "Paper → code map"
+//! and "Deviations from the paper").
 //!
 //! The model is a joint distribution over pixel intensities (Poisson)
 //! and per-source latent variables: type (star/galaxy), reference-band
@@ -42,5 +43,5 @@ pub use infer::{
     SourceScratch, SourceWorkspace,
 };
 pub use kl::ModelPriors;
-pub use newton::{maximize, maximize_with, EvalWorkspace, NewtonConfig, NewtonStats, Objective};
+pub use newton::{maximize_with, EvalWorkspace, NewtonConfig, NewtonStats, Objective};
 pub use params::{SourceParams, Uncertainty, NUM_PARAMS};

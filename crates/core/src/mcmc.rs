@@ -59,7 +59,7 @@ pub struct McmcResult {
 
 /// Adaptive random-walk Metropolis on `log_density`, starting at `x0`.
 pub fn metropolis(
-    log_density: impl Fn(&[f64]) -> f64,
+    mut log_density: impl FnMut(&[f64]) -> f64,
     x0: &[f64],
     cfg: &McmcConfig,
     seed: u64,

@@ -11,13 +11,13 @@
 //!
 //! The evaluation API is workspace-based: [`Objective::eval_into`]
 //! writes value/gradient/Hessian into an [`EvalWorkspace`] the caller
-//! owns, so the optimizer's inner loop performs no heap allocation
+//! owns, and [`Objective::value_into`] evaluates trial points in its
+//! scratch, so the optimizer's inner loop performs no heap allocation
 //! after the workspace is built (the paper's threads "spend their
-//! time in arithmetic, not allocation"). [`maximize`] builds one
-//! workspace up front; long-lived workers keep their own and call
-//! [`maximize_with`].
+//! time in arithmetic, not allocation"). Callers build a workspace
+//! once and run [`maximize_with`] in it.
 
-use celeste_linalg::{solve_tr_subproblem_with, vecops, Mat, TrWorkspace};
+use celeste_linalg::{solve_tr_subproblem_with, vecops, EigenWorkspace, Mat, TrWorkspace};
 
 thread_local! {
     /// Counts [`EvalWorkspace`] constructions on this thread, so tests
@@ -91,11 +91,28 @@ impl<S> EvalWorkspace<S> {
     pub fn split_mut(&mut self) -> (&mut Vec<f64>, &mut Mat, &mut S) {
         (&mut self.grad, &mut self.hess, &mut self.scratch)
     }
+
+    /// Copy `−hess` into the solver's negated-model buffer.
+    fn negate_hess(&mut self) {
+        self.neg_hess.copy_from(&self.hess);
+        self.neg_hess.scale(-1.0);
+    }
+
+    /// Eigendecompose `−hess`, the observed information at the last
+    /// evaluated point, in the trust-region solver's own eigen
+    /// workspace: no allocation once the workspace is warm. The
+    /// Laplace refresh after a fit reads posterior variances off it.
+    pub(crate) fn decompose_neg_hess(&mut self) -> &EigenWorkspace {
+        self.negate_hess();
+        let eig = self.tr.eigen_mut();
+        eig.compute(&self.neg_hess);
+        eig
+    }
 }
 
 /// An objective to *maximize*: full evaluation (value + gradient +
 /// Hessian) into a caller-owned workspace, and cheap value-only
-/// evaluation for trial points.
+/// evaluation for trial points in the workspace's scratch.
 pub trait Objective {
     /// Objective-specific scratch carried inside the workspace.
     type Scratch: Default;
@@ -108,25 +125,11 @@ pub trait Objective {
     /// repeat calls with the same workspace.
     fn eval_into(&self, x: &[f64], ws: &mut EvalWorkspace<Self::Scratch>);
 
-    /// Value only (used for trust-region ratio tests).
-    fn value(&self, x: &[f64]) -> f64;
-
-    /// Value only, with caller-owned scratch: the allocation-free form
-    /// the optimizer's trial evaluations use. The default forwards to
-    /// [`Objective::value`]; objectives whose value path needs scratch
-    /// (prepared mixtures etc.) override it so a whole
-    /// [`maximize_with`] run touches no heap.
-    fn value_into(&self, x: &[f64], _scratch: &mut Self::Scratch) -> f64 {
-        self.value(x)
-    }
-
-    /// Compatibility shim over [`Objective::eval_into`]: allocates a
-    /// fresh workspace per call. Prefer `eval_into` on hot paths.
-    fn eval(&self, x: &[f64]) -> (f64, Vec<f64>, Mat) {
-        let mut ws = EvalWorkspace::<Self::Scratch>::new(self.dim());
-        self.eval_into(x, &mut ws);
-        (ws.value, ws.grad, ws.hess)
-    }
+    /// Value only, with caller-owned scratch (the trust-region ratio
+    /// test's trial points). Must not allocate on repeat calls with
+    /// the same scratch, so a whole [`maximize_with`] run touches no
+    /// heap.
+    fn value_into(&self, x: &[f64], scratch: &mut Self::Scratch) -> f64;
 }
 
 /// Stop when the gradient max-norm falls below this (and the model
@@ -168,27 +171,27 @@ pub struct NewtonStats {
     pub value: f64,
     /// Final gradient max-norm.
     pub grad_norm: f64,
-    /// Whether the gradient tolerance was reached.
+    /// Whether the run ended by a stopping rule rather than the
+    /// `max_iters` cap. Four exits set it: a flat gradient (below
+    /// [`GRAD_TOL`]) with nothing left in the model; a model that
+    /// predicts no gain at all; an accepted step that improved the
+    /// objective by less than [`F_TOL`]·(1 + |f|), which is how a
+    /// typical source fit ends; and a rejected step that shrank the
+    /// trust radius below 1e-12. So `true` does not mean the gradient
+    /// tolerance was reached.
     pub converged: bool,
 }
 
-/// Maximize `obj` starting from `x` (updated in place), allocating one
-/// workspace for the whole run. Long-lived callers (worker pools)
-/// should hold their own workspace and use [`maximize_with`].
-pub fn maximize<O: Objective>(obj: &O, x: &mut [f64], cfg: &NewtonConfig) -> NewtonStats {
-    let mut ws = EvalWorkspace::<O::Scratch>::new(obj.dim());
-    maximize_with(obj, x, cfg, &mut ws)
-}
-
-/// Maximize `obj` starting from `x` (updated in place), reusing the
+/// Maximize `obj` starting from `x` (updated in place) in the
 /// caller's workspace. The whole run — every full evaluation, every
 /// trust-region solve (including its Jacobi eigendecomposition), and
 /// every trial-point value — goes through workspace-owned buffers, so
 /// a warmed-up workspace makes the entire call heap-allocation-free
 /// (enforced by the counting-allocator test in
-/// `crates/core/tests/hotpath.rs`). On return, `ws.value`, `ws.grad`
-/// and `ws.hess` hold the evaluation at the returned `x`: a rejected
-/// trial touches only `ws.scratch`.
+/// `crates/core/tests/hotpath.rs`, which also covers the Laplace
+/// refresh a source fit runs after it). On return, `ws.value`,
+/// `ws.grad` and `ws.hess` hold the evaluation at the returned `x`: a
+/// rejected trial touches only `ws.scratch`.
 pub fn maximize_with<O: Objective>(
     obj: &O,
     x: &mut [f64],
@@ -212,8 +215,7 @@ pub fn maximize_with<O: Objective>(
         // negated copies and the trust-region solver's scratch (eigen
         // workspace, eigenbasis buffers, step) all live in the
         // workspace.
-        ws.neg_hess.copy_from(&ws.hess);
-        ws.neg_hess.scale(-1.0);
+        ws.negate_hess();
         for (ng, &g) in ws.neg_grad.iter_mut().zip(ws.grad.iter()) {
             *ng = -g;
         }
@@ -273,6 +275,11 @@ pub fn maximize_with<O: Objective>(
 mod tests {
     use super::*;
 
+    /// One maximization in a fresh workspace.
+    fn maximize<O: Objective>(obj: &O, x: &mut [f64], cfg: &NewtonConfig) -> NewtonStats {
+        maximize_with(obj, x, cfg, &mut EvalWorkspace::new(obj.dim()))
+    }
+
     /// Concave quadratic with known maximizer.
     struct Quadratic {
         center: Vec<f64>,
@@ -294,7 +301,7 @@ mod tests {
                 ws.hess[(i, i)] = -scale;
             }
         }
-        fn value(&self, x: &[f64]) -> f64 {
+        fn value_into(&self, x: &[f64], _: &mut ()) -> f64 {
             let mut v = 0.0;
             for i in 0..x.len() {
                 let d = x[i] - self.center[i];
@@ -323,7 +330,7 @@ mod tests {
             ws.hess[(1, 0)] = 400.0 * a;
             ws.hess[(1, 1)] = -200.0;
         }
-        fn value(&self, x: &[f64]) -> f64 {
+        fn value_into(&self, x: &[f64], _: &mut ()) -> f64 {
             let (a, b) = (x[0], x[1]);
             -((1.0 - a).powi(2) + 100.0 * (b - a * a).powi(2))
         }
@@ -367,20 +374,6 @@ mod tests {
     }
 
     #[test]
-    fn eval_shim_matches_eval_into() {
-        let obj = Quadratic {
-            center: vec![1.0, 2.0],
-        };
-        let x = [0.5, -0.5];
-        let (v, g, h) = obj.eval(&x);
-        let mut ws = EvalWorkspace::new(2);
-        obj.eval_into(&x, &mut ws);
-        assert_eq!(v, ws.value);
-        assert_eq!(g, ws.grad);
-        assert_eq!(h.as_slice(), ws.hess.as_slice());
-    }
-
-    #[test]
     fn maximize_with_reuses_workspace_across_calls() {
         let obj = NegRosenbrock;
         let mut ws = EvalWorkspace::new(2);
@@ -415,8 +408,8 @@ mod tests {
                 ws.hess[(0, 0)] = -2.0;
                 ws.hess[(1, 1)] = 2.0 - 0.12 * x[1] * x[1];
             }
-            fn value(&self, x: &[f64]) -> f64 {
-                self.eval(x).0
+            fn value_into(&self, x: &[f64], _: &mut ()) -> f64 {
+                -(x[0] * x[0]) + x[1] * x[1] - 0.01 * x[1].powi(4)
             }
         }
         let mut x = vec![0.0, 0.0]; // exact saddle, zero gradient

@@ -145,8 +145,9 @@ fn evaluation_hot_path_is_allocation_free_after_warmup() {
         "likelihood_value_into allocated {value_allocs} times over 25 warmed-up calls"
     );
 
-    // --- maximize: exactly one workspace per fit_source (the shim),
-    // zero per fit_source_with, regardless of iteration count. ---
+    // --- workspaces: exactly one per fit_source (the validating
+    // entry), zero per fit_source_with, regardless of iteration
+    // count. ---
     let cfg = FitConfig::default();
     let ws_before = workspace_builds();
     let mut source = sp.clone();
@@ -200,5 +201,27 @@ fn evaluation_hot_path_is_allocation_free_after_warmup() {
         maximize_allocs, 0,
         "maximize_with allocated {maximize_allocs} times across 3 warmed-up \
          runs ({total_iters} iterations, {total_trials} trial evaluations)"
+    );
+
+    // --- the whole fit_source_with: the Newton run AND the Laplace
+    // refresh of the position/shape scales (an eigendecomposition of
+    // the final curvature) make ZERO heap allocations once the
+    // workspace is warm. ---
+    let mut source = sp.clone();
+    fit_source_with(&mut source, &problem, &cfg, &mut ws);
+    let before = allocs();
+    let mut fit_iters = 0;
+    for _ in 0..3 {
+        let mut source = sp.clone();
+        let s = fit_source_with(&mut source, &problem, &cfg, &mut ws);
+        fit_iters += s.newton.iterations;
+        assert!(source.params.iter().all(|p| p.is_finite()));
+    }
+    let fit_allocs = allocs() - before;
+    assert!(fit_iters > 0, "counted fits should take Newton steps");
+    assert_eq!(
+        fit_allocs, 0,
+        "fit_source_with allocated {fit_allocs} times across 3 warmed-up fits \
+         ({fit_iters} Newton iterations plus 3 Laplace refreshes)"
     );
 }

@@ -5,7 +5,9 @@
 use celeste_core::bvn::{Appearance, GalaxyGeo, GeoEval, GEO};
 use celeste_core::generic;
 use celeste_core::kl::{add_kl, kl_value, ModelPriors};
-use celeste_core::likelihood::{add_likelihood, likelihood_value, ActivePixel, ImageBlock};
+use celeste_core::likelihood::{
+    add_likelihood_into, likelihood_value_into, ActivePixel, ImageBlock, LikScratch,
+};
 use celeste_core::params::{ids, SourceParams, NUM_PARAMS};
 use celeste_linalg::Mat;
 use celeste_survey::catalog::{CatalogEntry, GalaxyShape, SourceType};
@@ -267,7 +269,7 @@ proptest! {
 
         let mut grad = [0.0; NUM_PARAMS];
         let mut hess = Mat::zeros(NUM_PARAMS, NUM_PARAMS);
-        add_likelihood(&p, &blocks, &mut grad, &mut hess);
+        add_likelihood_into(&p, &blocks, &mut grad, &mut hess, &mut LikScratch::default(), 0.0);
         let mut kl_grad = [0.0; NUM_PARAMS];
         let mut kl_hess = Mat::zeros(NUM_PARAMS, NUM_PARAMS);
         add_kl(&p, &priors, &mut kl_grad, &mut kl_hess);
@@ -297,7 +299,7 @@ proptest! {
         let p = perturbed(scale, &noise);
         let blocks = vec![small_block()];
         let priors = ModelPriors::new(Priors::sdss_default());
-        let hand = likelihood_value(&p, &blocks) - kl_value(&p, &priors);
+        let hand = likelihood_value_into(&p, &blocks, &mut LikScratch::default(), 0.0) - kl_value(&p, &priors);
         let gen = generic::elbo::<f64>(&generic::lift(&p), &blocks, &priors);
         prop_assert!((hand - gen).abs() < 1e-8 * (1.0 + hand.abs()));
     }
@@ -313,7 +315,7 @@ proptest! {
         let priors = ModelPriors::new(Priors::sdss_default());
         let mut grad = [0.0; NUM_PARAMS];
         let mut hess = Mat::zeros(NUM_PARAMS, NUM_PARAMS);
-        add_likelihood(&p, &blocks, &mut grad, &mut hess);
+        add_likelihood_into(&p, &blocks, &mut grad, &mut hess, &mut LikScratch::default(), 0.0);
         let mut kl_grad = [0.0; NUM_PARAMS];
         let mut kl_hess = Mat::zeros(NUM_PARAMS, NUM_PARAMS);
         add_kl(&p, &priors, &mut kl_grad, &mut kl_hess);

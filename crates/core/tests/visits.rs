@@ -4,7 +4,7 @@
 //! whatever else runs in this process.
 
 use celeste_core::flops::{record_visits, reset_thread_visits, thread_visits};
-use celeste_core::likelihood::{likelihood_value, ActivePixel, ImageBlock};
+use celeste_core::likelihood::{likelihood_value_into, ActivePixel, ImageBlock, LikScratch};
 use celeste_core::SourceParams;
 use celeste_survey::catalog::{CatalogEntry, GalaxyShape, SourceType};
 use celeste_survey::psf::Psf;
@@ -61,6 +61,6 @@ fn visit_counter_counts_pixels_and_resets() {
     };
     let params = SourceParams::init_from_entry(&entry).params;
     reset_thread_visits();
-    likelihood_value(&params, &[block()]);
+    likelihood_value_into(&params, &[block()], &mut LikScratch::default(), 0.0);
     assert_eq!(thread_visits(), 81);
 }

@@ -90,11 +90,16 @@ fn jacobi_sweeps(m: &mut Mat, v: &mut Mat) -> bool {
     off_norm(m) <= tol
 }
 
-/// Preallocated storage for repeated symmetric eigendecompositions of
-/// same-sized matrices: the Newton trust-region inner loop runs one
-/// Jacobi solve per iteration, and with this workspace (owned by the
-/// optimizer's evaluation workspace via `TrWorkspace`) those solves
-/// touch no heap at all after the first.
+/// Eigendecomposition `A = V diag(λ) Vᵀ` of symmetric matrices, in
+/// preallocated storage reused across same-sized inputs.
+///
+/// The paper's trust-region Newton step computes "an eigen
+/// decomposition … at each iteration" (§VI-B). At n = 44 the cyclic
+/// Jacobi method is simple, unconditionally convergent for symmetric
+/// input, and accurate to machine precision — there is no need for a
+/// LAPACK binding. The optimizer's evaluation workspace owns one (via
+/// `TrWorkspace`), so those solves, and the Laplace refresh after a
+/// fit, touch no heap at all after the first.
 #[derive(Debug, Clone)]
 pub struct EigenWorkspace {
     /// Working copy destroyed by the sweeps.
@@ -188,6 +193,25 @@ impl EigenWorkspace {
         self.converged
     }
 
+    /// Entry `(i, i)` of `V diag(f(λ)) Vᵀ`, without building the
+    /// matrix: `Σ_j (f(λ_j)·v_ij)·v_ij` over ascending `j`, skipping
+    /// terms whose `f(λ_j)·v_ij` is zero. That is the order and
+    /// rounding of accumulating the rebuild column by column with
+    /// [`Mat::rank1_update`], so the entry is bit-identical to the
+    /// diagonal of that rebuild. The Laplace refresh uses it to read
+    /// a few posterior variances off the curvature.
+    pub fn spectral_diag(&self, i: usize, f: impl Fn(f64) -> f64) -> f64 {
+        let mut sum = 0.0;
+        for (j, &l) in self.values.iter().enumerate() {
+            let vij = self.vectors[(i, j)];
+            let w = f(l) * vij;
+            if w != 0.0 {
+                sum += w * vij;
+            }
+        }
+        sum
+    }
+
     /// Write `Vᵀ x` into `out` (both length `dim`).
     pub fn to_eigenbasis_into(&self, x: &[f64], out: &mut [f64]) {
         let n = self.dim();
@@ -218,73 +242,6 @@ impl EigenWorkspace {
     }
 }
 
-/// Eigendecomposition `A = V diag(λ) Vᵀ` of a symmetric matrix.
-///
-/// The paper's trust-region Newton step computes "an eigen decomposition
-/// … at each iteration" (§VI-B). At n = 44 the cyclic Jacobi method is
-/// simple, unconditionally convergent for symmetric input, and accurate
-/// to machine precision — there is no need for a LAPACK binding.
-///
-/// This owning form allocates per decomposition; the optimizer's inner
-/// loop uses [`EigenWorkspace`] instead and reuses its storage.
-#[derive(Debug, Clone)]
-pub struct SymEigen {
-    /// Eigenvalues in ascending order.
-    values: Vec<f64>,
-    /// Column `j` of this matrix is the eigenvector for `values[j]`.
-    vectors: Mat,
-    converged: bool,
-}
-
-impl SymEigen {
-    /// Decompose `a`, which must be square; the strictly-upper triangle
-    /// is trusted (call [`Mat::symmetrize`] first for almost-symmetric
-    /// input). Runs Jacobi sweeps until off-diagonal mass is below
-    /// `1e-14 · ‖A‖_F` or 64 sweeps, whichever comes first (convergence
-    /// is typically < 12 sweeps at n = 44).
-    pub fn new(a: &Mat) -> Self {
-        let mut ws = EigenWorkspace::new(a.rows());
-        ws.compute(a);
-        SymEigen {
-            values: ws.values,
-            vectors: ws.vectors,
-            converged: ws.converged,
-        }
-    }
-
-    /// Eigenvalues in ascending order.
-    pub fn values(&self) -> &[f64] {
-        &self.values
-    }
-
-    /// Orthonormal eigenvector matrix; column `j` pairs with `values()[j]`.
-    pub fn vectors(&self) -> &Mat {
-        &self.vectors
-    }
-
-    /// Whether the Jacobi sweeps reached tolerance (see
-    /// [`EigenWorkspace::converged`]).
-    pub fn converged(&self) -> bool {
-        self.converged
-    }
-
-    /// Rebuild `V diag(f(λ)) Vᵀ` — used for the modified-Newton PSD
-    /// projection (flip/floor negative curvature).
-    pub fn rebuild_with(&self, f: impl Fn(f64) -> f64) -> Mat {
-        let n = self.values.len();
-        let mut out = Mat::zeros(n, n);
-        for j in 0..n {
-            let w = f(self.values[j]);
-            if w == 0.0 {
-                continue;
-            }
-            let col: Vec<f64> = (0..n).map(|i| self.vectors[(i, j)]).collect();
-            out.rank1_update(w, &col, &col);
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -298,10 +255,33 @@ mod tests {
         a
     }
 
+    fn decompose(a: &Mat) -> EigenWorkspace {
+        let mut e = EigenWorkspace::new(a.rows());
+        e.compute(a);
+        e
+    }
+
+    /// `V diag(f(λ)) Vᵀ`, accumulated column by column with
+    /// `rank1_update` (the full rebuild `spectral_diag` reads one
+    /// diagonal entry of).
+    fn rebuild(e: &EigenWorkspace, f: impl Fn(f64) -> f64) -> Mat {
+        let n = e.dim();
+        let mut out = Mat::zeros(n, n);
+        for j in 0..n {
+            let w = f(e.values()[j]);
+            if w == 0.0 {
+                continue;
+            }
+            let col: Vec<f64> = (0..n).map(|i| e.vectors()[(i, j)]).collect();
+            out.rank1_update(w, &col, &col);
+        }
+        out
+    }
+
     #[test]
     fn diagonal_matrix_eigenvalues() {
         let a = Mat::from_diag(&[3.0, -1.0, 2.0]);
-        let e = SymEigen::new(&a);
+        let e = decompose(&a);
         assert!((e.values()[0] - -1.0).abs() < 1e-12);
         assert!((e.values()[1] - 2.0).abs() < 1e-12);
         assert!((e.values()[2] - 3.0).abs() < 1e-12);
@@ -312,7 +292,7 @@ mod tests {
     fn known_2x2() {
         // [[2,1],[1,2]] has eigenvalues 1 and 3.
         let a = Mat::from_rows(2, 2, &[2.0, 1.0, 1.0, 2.0]);
-        let e = SymEigen::new(&a);
+        let e = decompose(&a);
         assert!((e.values()[0] - 1.0).abs() < 1e-12);
         assert!((e.values()[1] - 3.0).abs() < 1e-12);
     }
@@ -320,9 +300,9 @@ mod tests {
     #[test]
     fn reconstruction_and_orthogonality() {
         let a = sym_test_matrix(20);
-        let e = SymEigen::new(&a);
+        let e = decompose(&a);
         // V diag(λ) Vᵀ == A
-        let recon = e.rebuild_with(|x| x);
+        let recon = rebuild(&e, |x| x);
         let mut diff = recon;
         diff.add_scaled(-1.0, &a);
         assert!(
@@ -339,7 +319,7 @@ mod tests {
     #[test]
     fn eigenbasis_roundtrip() {
         let a = sym_test_matrix(9);
-        let e = SymEigen::new(&a);
+        let e = decompose(&a);
         let x: Vec<f64> = (0..9).map(|i| (i as f64).sin()).collect();
         let back = e.vectors().matvec(&e.vectors().t_matvec(&x));
         for (p, q) in back.iter().zip(&x) {
@@ -350,7 +330,7 @@ mod tests {
     #[test]
     fn trace_preserved() {
         let a = sym_test_matrix(15);
-        let e = SymEigen::new(&a);
+        let e = decompose(&a);
         let tr_a: f64 = (0..15).map(|i| a[(i, i)]).sum();
         let tr_l: f64 = e.values().iter().sum();
         assert!((tr_a - tr_l).abs() < 1e-10);
@@ -359,23 +339,26 @@ mod tests {
     #[test]
     fn psd_projection_floors_negatives() {
         let a = Mat::from_rows(2, 2, &[1.0, 2.0, 2.0, 1.0]); // eigen 3, -1
-        let e = SymEigen::new(&a);
-        let fixed = e.rebuild_with(|l| l.max(0.5));
-        let e2 = SymEigen::new(&fixed);
+        let e = decompose(&a);
+        let fixed = rebuild(&e, |l| l.max(0.5));
+        let e2 = decompose(&fixed);
         assert!(e2.values()[0] >= 0.5 - 1e-12);
     }
 
     #[test]
-    fn workspace_matches_owning_form_and_reuses() {
+    fn workspace_reuse_is_bit_identical() {
         let a = sym_test_matrix(12);
-        let e = SymEigen::new(&a);
+        let first = decompose(&a);
+        let mut other = sym_test_matrix(12);
+        other.scale(-2.0);
         let mut ws = EigenWorkspace::new(12);
-        // Repeated computes must agree with the owning form exactly.
-        for _ in 0..3 {
-            ws.compute(&a);
-            assert_eq!(ws.values(), e.values());
-            assert_eq!(ws.vectors().as_slice(), e.vectors().as_slice());
+        // Repeated computes in one workspace must agree with a fresh
+        // one exactly, including after a different input.
+        for b in [&a, &other, &a] {
+            ws.compute(b);
         }
+        assert_eq!(ws.values(), first.values());
+        assert_eq!(ws.vectors().as_slice(), first.vectors().as_slice());
         // Round-trip through the _into projections.
         let x: Vec<f64> = (0..12).map(|i| (i as f64 * 0.7).cos()).collect();
         let mut y = vec![0.0; 12];
@@ -384,6 +367,27 @@ mod tests {
         ws.from_eigenbasis_into(&y, &mut back);
         for (p, q) in back.iter().zip(&x) {
             assert!((p - q).abs() < 1e-12);
+        }
+    }
+
+    #[test]
+    fn spectral_diag_is_the_rebuild_diagonal_bit_for_bit() {
+        // Indefinite input, a flooring map that fires on the negative
+        // eigenvalues, and an identity map (which reconstructs A).
+        let a = sym_test_matrix(9);
+        let e = decompose(&a);
+        assert!(e.values()[0] < 0.0 && e.values()[8] > 0.0);
+        let floor = 0.3;
+        let maps: [&dyn Fn(f64) -> f64; 2] = [&|l| 1.0 / l.max(floor), &|l| l];
+        for f in maps {
+            let full = rebuild(&e, f);
+            for i in 0..9 {
+                assert_eq!(
+                    e.spectral_diag(i, f).to_bits(),
+                    full[(i, i)].to_bits(),
+                    "entry {i}"
+                );
+            }
         }
     }
 
@@ -411,10 +415,10 @@ mod tests {
                 a[(j, i)] = v;
             }
         }
-        let e = SymEigen::new(&a);
+        let e = decompose(&a);
         assert!(e.converged(), "clustered spectrum must converge");
         assert!(e.values().iter().all(|v| v.is_finite()));
-        let recon = e.rebuild_with(|x| x);
+        let recon = rebuild(&e, |x| x);
         let mut diff = recon;
         diff.add_scaled(-1.0, &a);
         assert!(diff.max_abs() < 1e-12 * a.max_abs());
@@ -433,7 +437,7 @@ mod tests {
         a[(1, 0)] = 1e-300;
         a[(0, 2)] = 1.0;
         a[(2, 0)] = 1.0;
-        let e = SymEigen::new(&a);
+        let e = decompose(&a);
         assert!(e.values().iter().all(|v| v.is_finite()));
     }
 }

@@ -3,20 +3,24 @@
 //!
 //! The hot kernels (the bivariate-normal geometry kernel in
 //! `celeste-core::bvn`, the 28-slot packed likelihood accumulation in
-//! `celeste-core::likelihood`) are each instantiated twice: once with
-//! plain `a*b + c` for the portable baseline, and once with
-//! [`f64::mul_add`] inside an `avx2,fma` target-feature function
-//! (where it compiles to a single `vfmadd` instead of a libm call).
-//! Blanket `-C target-cpu=native` was measured to *hurt* (AVX-512
-//! downclock, and the dense reference baseline autovectorizes), so
-//! SIMD stays explicit and runtime-dispatched through this module.
+//! `celeste-core::likelihood`) are written once, generic over a
+//! [`Madd`] strategy, as a [`Kernel`]. [`dispatch`] runs a kernel
+//! either with plain `a*b + c` (the portable baseline) or with
+//! [`f64::mul_add`] inside the crate's one `avx2,fma` target-feature
+//! function (where it compiles to a single `vfmadd` instead of a libm
+//! call). Blanket `-C target-cpu=native` was measured to *hurt*
+//! (AVX-512 downclock, and the dense reference baseline
+//! autovectorizes), so SIMD stays explicit and runtime-dispatched
+//! through this module.
 //!
-//! **Every** kernel must route its instantiation choice through
-//! [`fma_enabled`]: a single cached decision means the value-only and
-//! derivative evaluation paths round identically, so screening cuts
-//! (`qf ≤ qf_cut` in the bvn kernel) make bit-identical culling
-//! decisions in both. Per-path `is_x86_feature_detected!` checks are
-//! how the value/derivative dispatch mismatch happened.
+//! A kernel is entered once per call — a whole likelihood evaluation
+//! decides once and walks every pixel at that one strategy — so the
+//! value-only and derivative paths round identically and screening
+//! cuts (`qf ≤ qf_cut` in the bvn kernel) make bit-identical culling
+//! decisions in both. Everything a kernel calls down to its
+//! [`Madd::madd`] must be `#[inline(always)]`: a function that is not
+//! inlined into the target-feature function compiles without `fma`,
+//! and `mul_add` there becomes a libm call.
 //!
 //! Setting `CELESTE_FORCE_SCALAR=1` in the environment forces the
 //! portable instantiation everywhere (read once per process), so the
@@ -33,6 +37,10 @@ use std::sync::OnceLock;
 /// but they are *not* bit-identical to each other, which is why the
 /// dispatch decision must be process-global ([`fma_enabled`]).
 pub trait Madd {
+    /// Whether this is the hardware contraction, i.e. the strategy
+    /// [`dispatch`] runs inside its `avx2,fma` function: kernels key
+    /// SIMD-only routing (batched exponentials) on it.
+    const FUSED: bool;
     fn madd(a: f64, b: f64, c: f64) -> f64;
 }
 
@@ -40,20 +48,22 @@ pub trait Madd {
 pub struct ScalarMadd;
 
 impl Madd for ScalarMadd {
+    const FUSED: bool = false;
     #[inline(always)]
     fn madd(a: f64, b: f64, c: f64) -> f64 {
         a * b + c
     }
 }
 
-/// Hardware contraction; only instantiate inside `fma`-enabled
-/// target-feature functions (elsewhere `mul_add` is a libm call and
-/// far slower than two plain ops).
+/// Hardware contraction; [`dispatch`] instantiates it inside its
+/// `avx2,fma` function (elsewhere `mul_add` is a libm call, with the
+/// same result but far slower than two plain ops).
 #[cfg(target_arch = "x86_64")]
 pub struct HwFma;
 
 #[cfg(target_arch = "x86_64")]
 impl Madd for HwFma {
+    const FUSED: bool = true;
     #[inline(always)]
     fn madd(a: f64, b: f64, c: f64) -> f64 {
         a.mul_add(b, c)
@@ -103,10 +113,42 @@ pub fn kernel_isa() -> &'static str {
     }
 }
 
+/// A computation written once, generic over the madd strategy, and
+/// run by [`dispatch`] at the strategy the process uses.
+pub trait Kernel {
+    type Out;
+    /// Run with strategy `F`: `#[inline(always)]`, like every function
+    /// between here and an `F::madd` (see the module docs).
+    fn run<F: Madd>(self) -> Self::Out;
+}
+
+/// Run `kernel` under the process-global [`fma_enabled`] decision:
+/// the one place in the workspace that picks an instantiation.
+#[inline]
+pub fn dispatch<K: Kernel>(kernel: K) -> K::Out {
+    #[cfg(target_arch = "x86_64")]
+    if fma_enabled() {
+        // SAFETY: fma_enabled() verified avx2+fma at runtime.
+        return unsafe { run_fma(kernel) };
+    }
+    kernel.run::<ScalarMadd>()
+}
+
+/// The `avx2,fma` instantiation of every kernel.
+///
+/// # Safety
+/// Caller must have verified `avx2`+`fma` support at runtime
+/// ([`dispatch`] gates on [`fma_enabled`]).
+#[cfg(target_arch = "x86_64")]
+#[target_feature(enable = "avx2,fma")]
+unsafe fn run_fma<K: Kernel>(kernel: K) -> K::Out {
+    kernel.run::<HwFma>()
+}
+
 /// `out[j] += c1·x[j] + c2·y[j]` — the packed-triangle row update
 /// shared by the likelihood kernel's rank-2 chain terms and
-/// flux-block triangles. Generic over the madd strategy; call inside
-/// a target-feature function for the FMA instantiation.
+/// flux-block triangles. Generic over the madd strategy; call from a
+/// [`Kernel`] for the FMA instantiation.
 #[inline(always)]
 pub fn axpy2<F: Madd>(out: &mut [f64], c1: f64, x: &[f64], c2: f64, y: &[f64]) {
     debug_assert_eq!(out.len(), x.len());
@@ -166,6 +208,21 @@ mod tests {
     #[test]
     fn isa_string_matches_dispatch() {
         assert_eq!(kernel_isa(), if fma_enabled() { "fma" } else { "scalar" });
+    }
+
+    #[test]
+    fn dispatch_runs_the_decided_strategy() {
+        struct Probe(f64);
+        impl Kernel for Probe {
+            type Out = (bool, f64);
+            #[inline(always)]
+            fn run<F: Madd>(self) -> (bool, f64) {
+                (F::FUSED, F::madd(self.0, 3.0, 1.0))
+            }
+        }
+        let (fused, v) = dispatch(Probe(2.0));
+        assert_eq!(fused, fma_enabled());
+        assert_eq!(v, 7.0);
     }
 
     #[test]

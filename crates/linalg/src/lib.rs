@@ -11,19 +11,19 @@
 //!
 //! * [`Mat`] — a row-major dense matrix with the handful of BLAS-like
 //!   operations the rest of the workspace needs,
-//! * [`SymEigen`] / [`EigenWorkspace`] — cyclic Jacobi eigensolver
-//!   (always converges for symmetric input, no LAPACK dependency);
-//!   the workspace form reuses all storage across decompositions,
-//! * [`solve_tr_subproblem`] / [`solve_tr_subproblem_with`] — the
-//!   Moré–Sorensen-style trust-region subproblem solver used by the
-//!   nonconvex Newton optimizer; the `_with` form solves into a
-//!   caller-owned [`TrWorkspace`] with zero heap allocation,
+//! * [`EigenWorkspace`] — cyclic Jacobi eigensolver (always converges
+//!   for symmetric input, no LAPACK dependency) that reuses all
+//!   storage across decompositions,
+//! * [`solve_tr_subproblem_with`] — the Moré–Sorensen-style
+//!   trust-region subproblem solver used by the nonconvex Newton
+//!   optimizer; it solves into a caller-owned [`TrWorkspace`] with
+//!   zero heap allocation,
 //! * [`nnls`] — nonnegative linear least squares used for
 //!   galaxy-profile mixture fitting,
-//! * [`fused`] — the fused-multiply-add strategy trait and the
-//!   process-global `avx2,fma` runtime dispatch every hand-vectorized
-//!   kernel in the workspace routes through (plus the
-//!   `CELESTE_FORCE_SCALAR` escape hatch).
+//! * [`fused`] — the fused-multiply-add strategy trait and
+//!   [`fused::dispatch`], the one process-global `avx2,fma` runtime
+//!   dispatch every hand-vectorized kernel in the workspace runs
+//!   through (plus the `CELESTE_FORCE_SCALAR` escape hatch).
 //!
 //! Matrices here are small (≤ a few hundred rows); all algorithms are
 //! O(n³) dense and optimized for clarity plus cache-friendly row-major
@@ -36,7 +36,7 @@ mod mat;
 mod tr;
 pub mod vecops;
 
-pub use eigen::{EigenWorkspace, SymEigen};
+pub use eigen::EigenWorkspace;
 pub use lstsq::nnls;
 pub use mat::Mat;
-pub use tr::{solve_tr_subproblem, solve_tr_subproblem_with, TrInfo, TrSolution, TrWorkspace};
+pub use tr::{solve_tr_subproblem_with, TrInfo, TrWorkspace};

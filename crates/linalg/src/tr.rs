@@ -2,21 +2,8 @@
 
 use crate::{EigenWorkspace, Mat};
 
-/// Result of solving `min_p  gᵀp + ½ pᵀHp  s.t. ‖p‖ ≤ Δ`, owning form.
-#[derive(Debug, Clone)]
-pub struct TrSolution {
-    /// The minimizing step.
-    pub step: Vec<f64>,
-    /// Model reduction `−(gᵀp + ½pᵀHp)` (≥ 0 up to rounding).
-    pub predicted_reduction: f64,
-    /// Whether the step hit the trust-region boundary.
-    pub on_boundary: bool,
-    /// Ridge multiplier λ with `(H + λI) p = −g`, λ ≥ 0.
-    pub lambda: f64,
-}
-
-/// Scalar outcome of a workspace-backed solve; the step itself stays
-/// in [`TrWorkspace::step`].
+/// Scalar outcome of solving `min_p  gᵀp + ½ pᵀHp  s.t. ‖p‖ ≤ Δ`;
+/// the step itself stays in [`TrWorkspace::step`].
 #[derive(Debug, Clone, Copy)]
 pub struct TrInfo {
     /// Model reduction `−(gᵀp + ½pᵀHp)` (≥ 0 up to rounding).
@@ -70,19 +57,12 @@ impl TrWorkspace {
     pub fn step(&self) -> &[f64] {
         &self.step
     }
-}
 
-/// Solve the trust-region subproblem exactly via eigendecomposition,
-/// allocating a fresh workspace. Hot paths hold a [`TrWorkspace`] and
-/// call [`solve_tr_subproblem_with`] instead.
-pub fn solve_tr_subproblem(h: &Mat, g: &[f64], delta: f64) -> TrSolution {
-    let mut ws = TrWorkspace::new(g.len());
-    let info = solve_tr_subproblem_with(h, g, delta, &mut ws);
-    TrSolution {
-        step: ws.step,
-        predicted_reduction: info.predicted_reduction,
-        on_boundary: info.on_boundary,
-        lambda: info.lambda,
+    /// The eigen workspace the solves decompose into, lent out between
+    /// solves (the Laplace refresh after a fit decomposes the final
+    /// curvature in it instead of allocating its own).
+    pub fn eigen_mut(&mut self) -> &mut EigenWorkspace {
+        &mut self.eig
     }
 }
 
@@ -240,14 +220,21 @@ mod tests {
     use super::*;
     use crate::vecops::norm2;
 
+    /// One solve in a fresh workspace: the step and the scalar outcome.
+    fn solve(h: &Mat, g: &[f64], delta: f64) -> (Vec<f64>, TrInfo) {
+        let mut ws = TrWorkspace::new(g.len());
+        let info = solve_tr_subproblem_with(h, g, delta, &mut ws);
+        (ws.step().to_vec(), info)
+    }
+
     #[test]
     fn interior_step_is_newton_step() {
         let h = Mat::from_diag(&[2.0, 4.0]);
         let g = [0.2, -0.4];
-        let sol = solve_tr_subproblem(&h, &g, 10.0);
+        let (step, sol) = solve(&h, &g, 10.0);
         assert!(!sol.on_boundary);
-        assert!((sol.step[0] - -0.1).abs() < 1e-12);
-        assert!((sol.step[1] - 0.1).abs() < 1e-12);
+        assert!((step[0] - -0.1).abs() < 1e-12);
+        assert!((step[1] - 0.1).abs() < 1e-12);
         assert_eq!(sol.lambda, 0.0);
     }
 
@@ -256,12 +243,12 @@ mod tests {
         let h = Mat::from_diag(&[2.0, 4.0]);
         let g = [10.0, -10.0];
         let delta = 0.5;
-        let sol = solve_tr_subproblem(&h, &g, delta);
+        let (step, sol) = solve(&h, &g, delta);
         assert!(sol.on_boundary);
-        assert!((norm2(&sol.step) - delta).abs() < 1e-8);
+        assert!((norm2(&step) - delta).abs() < 1e-8);
         // KKT: (H + λI) p = −g with λ ≥ 0.
-        let mut hp = h.matvec(&sol.step);
-        for (hpi, pi) in hp.iter_mut().zip(&sol.step) {
+        let mut hp = h.matvec(&step);
+        for (hpi, pi) in hp.iter_mut().zip(&step) {
             *hpi += sol.lambda * pi;
         }
         for (hpi, gi) in hp.iter().zip(&g) {
@@ -276,10 +263,10 @@ mod tests {
         // the quadratic model.
         let h = Mat::from_rows(2, 2, &[1.0, 0.0, 0.0, -2.0]);
         let g = [0.5, 0.3];
-        let sol = solve_tr_subproblem(&h, &g, 1.0);
+        let (step, sol) = solve(&h, &g, 1.0);
         assert!(sol.on_boundary);
         assert!(sol.predicted_reduction > 0.0);
-        assert!((norm2(&sol.step) - 1.0).abs() < 1e-8);
+        assert!((norm2(&step) - 1.0).abs() < 1e-8);
         assert!(sol.lambda >= 2.0 - 1e-8, "λ must dominate −λ_min");
     }
 
@@ -288,9 +275,9 @@ mod tests {
         // Gradient orthogonal to the negative-curvature direction.
         let h = Mat::from_diag(&[-1.0, 3.0]);
         let g = [0.0, 0.3];
-        let sol = solve_tr_subproblem(&h, &g, 2.0);
+        let (step, sol) = solve(&h, &g, 2.0);
         assert!(sol.on_boundary);
-        assert!((norm2(&sol.step) - 2.0).abs() < 1e-8);
+        assert!((norm2(&step) - 2.0).abs() < 1e-8);
         assert!(sol.predicted_reduction > 0.0);
     }
 
@@ -300,34 +287,36 @@ mod tests {
         // along negative curvature (hard case with pure eigen-step).
         let h = Mat::from_diag(&[-2.0, 1.0]);
         let g = [0.0, 0.0];
-        let sol = solve_tr_subproblem(&h, &g, 1.0);
-        assert!((norm2(&sol.step) - 1.0).abs() < 1e-8);
+        let (step, sol) = solve(&h, &g, 1.0);
+        assert!((norm2(&step) - 1.0).abs() < 1e-8);
         assert!(sol.predicted_reduction > 0.0);
         // Moves along the first (negative) eigendirection.
-        assert!(sol.step[0].abs() > 0.9);
+        assert!(step[0].abs() > 0.9);
     }
 
     #[test]
     fn reduction_matches_direct_evaluation() {
         let h = Mat::from_rows(3, 3, &[4.0, 1.0, 0.0, 1.0, 3.0, 0.5, 0.0, 0.5, 5.0]);
         let g = [1.0, -2.0, 0.5];
-        let sol = solve_tr_subproblem(&h, &g, 0.3);
-        let direct = -(crate::vecops::dot(&g, &sol.step) + 0.5 * h.quad_form(&sol.step));
+        let (step, sol) = solve(&h, &g, 0.3);
+        let direct = -(crate::vecops::dot(&g, &step) + 0.5 * h.quad_form(&step));
         assert!((sol.predicted_reduction - direct).abs() < 1e-12);
     }
 
     #[test]
-    fn workspace_form_matches_owning_form_across_reuse() {
+    fn workspace_reuse_is_bit_identical() {
+        // One workspace across solves of every kind (boundary,
+        // interior) must give what a fresh workspace gives, bit for bit.
         let h = Mat::from_rows(3, 3, &[4.0, 1.0, 0.0, 1.0, 3.0, 0.5, 0.0, 0.5, 5.0]);
         let mut ws = TrWorkspace::new(3);
         for &delta in &[0.05, 0.3, 50.0] {
             let g = [1.0, -2.0, 0.5];
-            let owning = solve_tr_subproblem(&h, &g, delta);
+            let (fresh_step, fresh) = solve(&h, &g, delta);
             let info = solve_tr_subproblem_with(&h, &g, delta, &mut ws);
-            assert_eq!(ws.step(), owning.step.as_slice());
-            assert_eq!(info.predicted_reduction, owning.predicted_reduction);
-            assert_eq!(info.on_boundary, owning.on_boundary);
-            assert_eq!(info.lambda, owning.lambda);
+            assert_eq!(ws.step(), fresh_step.as_slice());
+            assert_eq!(info.predicted_reduction, fresh.predicted_reduction);
+            assert_eq!(info.on_boundary, fresh.on_boundary);
+            assert_eq!(info.lambda, fresh.lambda);
         }
     }
 
@@ -356,14 +345,14 @@ mod tests {
         // Gradient supported only off the bottom eigenspace.
         let g = [0.0, 0.0, 0.0, 0.4, -0.2, 0.1, 0.3];
         let delta = 2.0;
-        let sol = solve_tr_subproblem(&h, &g, delta);
+        let (step, sol) = solve(&h, &g, delta);
         assert!(sol.on_boundary, "hard case must reach the boundary");
-        assert!((norm2(&sol.step) - delta).abs() < 1e-8);
+        assert!((norm2(&step) - delta).abs() < 1e-8);
         assert!(sol.predicted_reduction > 0.0);
         assert!((sol.lambda - 1.0).abs() < 1e-6, "λ = −λ_min in hard case");
         // KKT residual: (H + λI) p + g ⊥ everything (≈ 0).
-        let mut r = h.matvec(&sol.step);
-        for ((ri, pi), gi) in r.iter_mut().zip(&sol.step).zip(&g) {
+        let mut r = h.matvec(&step);
+        for ((ri, pi), gi) in r.iter_mut().zip(&step).zip(&g) {
             *ri += sol.lambda * pi + gi;
         }
         assert!(crate::vecops::max_abs(&r) < 1e-6, "KKT residual {:?}", r);

@@ -1,6 +1,8 @@
 //! Property-based tests for the linear algebra kernels.
 
-use celeste_linalg::{nnls, solve_tr_subproblem, vecops, Mat, SymEigen};
+use celeste_linalg::{
+    nnls, solve_tr_subproblem_with, vecops, EigenWorkspace, Mat, TrInfo, TrWorkspace,
+};
 use proptest::prelude::*;
 
 /// Strategy: a random symmetric n×n matrix with entries in ±scale.
@@ -12,12 +14,21 @@ fn sym_mat(n: usize, scale: f64) -> impl Strategy<Value = Mat> {
     })
 }
 
+/// One trust-region solve in a fresh workspace: the step and the
+/// scalar outcome.
+fn solve(h: &Mat, g: &[f64], delta: f64) -> (Vec<f64>, TrInfo) {
+    let mut ws = TrWorkspace::new(g.len());
+    let info = solve_tr_subproblem_with(h, g, delta, &mut ws);
+    (ws.step().to_vec(), info)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn eigen_residual_and_orthogonality(a in sym_mat(10, 5.0)) {
-        let e = SymEigen::new(&a);
+        let mut e = EigenWorkspace::new(10);
+        e.compute(&a);
         // A V = V diag(λ)
         for j in 0..10 {
             let v: Vec<f64> = (0..10).map(|i| e.vectors()[(i, j)]).collect();
@@ -38,8 +49,8 @@ proptest! {
         g in prop::collection::vec(-5.0..5.0f64, 7),
         delta in 0.01..10.0f64,
     ) {
-        let sol = solve_tr_subproblem(&a, &g, delta);
-        prop_assert!(vecops::norm2(&sol.step) <= delta * (1.0 + 1e-6));
+        let (step, sol) = solve(&a, &g, delta);
+        prop_assert!(vecops::norm2(&step) <= delta * (1.0 + 1e-6));
         // The model value must not increase (minimizer of the model).
         prop_assert!(sol.predicted_reduction >= -1e-9);
     }
@@ -51,10 +62,10 @@ proptest! {
         delta in 0.05..5.0f64,
     ) {
         prop_assume!(vecops::norm2(&g) > 1e-6);
-        let sol = solve_tr_subproblem(&a, &g, delta);
+        let (step, sol) = solve(&a, &g, delta);
         // (H + λI) p + g ≈ 0
-        let mut r = a.matvec(&sol.step);
-        for ((ri, pi), gi) in r.iter_mut().zip(&sol.step).zip(&g) {
+        let mut r = a.matvec(&step);
+        for ((ri, pi), gi) in r.iter_mut().zip(&step).zip(&g) {
             *ri += sol.lambda * pi + gi;
         }
         let scale = vecops::max_abs(&g).max(a.max_abs()).max(1.0);

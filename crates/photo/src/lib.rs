@@ -1,6 +1,7 @@
 #![forbid(unsafe_code)]
 #![allow(clippy::needless_range_loop)] // lockstep-indexed numeric kernels
-//! A "Photo"-like heuristic cataloging pipeline (DESIGN.md S6).
+//! A "Photo"-like heuristic cataloging pipeline (README, "Workspace
+//! layout").
 //!
 //! The paper's baseline comparator is SDSS Photo [Lupton et al. 2005],
 //! "a carefully hand-tuned heuristic" (§VIII). This crate implements

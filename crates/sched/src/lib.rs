@@ -1,4 +1,5 @@
-//! Distributed optimization machinery (DESIGN.md S7–S10).
+//! Distributed optimization machinery (paper §IV; README, "Architecture:
+//! one executor for the whole node" and "Fault tolerance").
 //!
 //! The paper's three-level parallel decomposition (§IV):
 //!

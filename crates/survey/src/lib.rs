@@ -1,5 +1,5 @@
 #![allow(clippy::needless_range_loop)] // lockstep-indexed numeric kernels
-//! Synthetic SDSS-like imaging survey (DESIGN.md S5).
+//! Synthetic SDSS-like imaging survey (README, "Workspace layout").
 //!
 //! The paper runs Celeste against the 55 TB Sloan Digital Sky Survey.
 //! That data (and a FITS stack) is not available here, so this crate
