@@ -10,6 +10,9 @@
 //!   accumulation (`add_likelihood_dense`, the committed baseline)
 //!   and the packed lower-triangle kernel (`add_likelihood_into`) —
 //!   measured in the same run, same scene, same build;
+//! * µs per trust-region point: one Householder–QL decomposition of
+//!   the scene's negated 44×44 model plus one trust-region solve
+//!   (`tr_solve_us`);
 //! * full source fits per second through the workspace-reusing path
 //!   (`fit_source_with`), problem assembly included;
 //! * evaluation-workspace builds per fit (1 = built once, reused for
@@ -38,10 +41,10 @@ use celeste_core::infer::CULL_TOL;
 use celeste_core::likelihood::{
     add_likelihood_dense, add_likelihood_into, galaxy_geo, likelihood_value_into, LikScratch,
 };
-use celeste_core::newton::workspace_builds;
+use celeste_core::newton::{workspace_builds, Objective, INITIAL_RADIUS};
 use celeste_core::params::ids;
 use celeste_core::{BuildScratch, FitConfig, ModelPriors, SourceParams, NUM_PARAMS};
-use celeste_linalg::Mat;
+use celeste_linalg::{Mat, TrWorkspace};
 use celeste_survey::{Image, Priors};
 use std::hint::black_box;
 use std::time::Instant;
@@ -139,6 +142,23 @@ fn main() {
             &mut lik_scratch,
             CULL_TOL,
         )
+    });
+
+    // One trust-region point on the scene's own 44×44 Hessian: the
+    // decomposition of the negated model and the solve at the initial
+    // radius, as `maximize_with` runs them.
+    let mut eval_ws = celeste_core::source_workspace();
+    problem.eval_into(&sp.params, &mut eval_ws);
+    let mut tr = TrWorkspace::new(NUM_PARAMS);
+    let (model_h, model_g) = tr.model_mut();
+    model_h.copy_from(&eval_ws.hess);
+    model_h.scale(-1.0);
+    for (mg, &gi) in model_g.iter_mut().zip(&eval_ws.grad) {
+        *mg = -gi;
+    }
+    let tr_solve_s = time_per_call(50, 9, || {
+        tr.decompose();
+        tr.solve(INITIAL_RADIUS)
     });
 
     // Full fits through the persistent-workspace path.
@@ -259,11 +279,12 @@ fn main() {
     }
 
     let json = format!(
-        "{{\n  \"bench\": \"hotpath\",\n  \"scene\": \"stripe82 brightest source, 5 bands\",\n  \"kernel_dispatch\": \"{kernel_dispatch}\",\n  \"active_pixels\": {pixels},\n  \"value_ns_per_pixel\": {value_ns_px:.2},\n  \"deriv_dense_ns_per_pixel\": {dense_ns_px:.2},\n  \"deriv_packed_ns_per_pixel\": {packed_ns_px:.2},\n  \"deriv_speedup_vs_dense\": {speedup:.3},\n  \"deriv_over_value_ratio\": {new_ratio:.3},\n  \"chunk_routes\": {{ \"skip\": {}, \"batch\": {}, \"masked\": {}, \"scalar\": {} }},\n  \"fit_single_source_ms\": {:.3},\n  \"fits_per_sec\": {:.2},\n  \"workspace_builds_per_fit\": {ws_builds_per_fit:.3},\n  \"region_threads\": {region_threads},\n  \"region_fits_per_sec_1t\": {region_1t:.2},\n  \"region_fits_per_sec_nt\": {region_nt:.2},\n  \"region_scaling\": {region_scaling:.3},\n  \"par_join_pair_ns\": {:.1},\n  \"par_install_handoff_ns\": {:.1}\n}}\n",
+        "{{\n  \"bench\": \"hotpath\",\n  \"scene\": \"stripe82 brightest source, 5 bands\",\n  \"kernel_dispatch\": \"{kernel_dispatch}\",\n  \"active_pixels\": {pixels},\n  \"value_ns_per_pixel\": {value_ns_px:.2},\n  \"deriv_dense_ns_per_pixel\": {dense_ns_px:.2},\n  \"deriv_packed_ns_per_pixel\": {packed_ns_px:.2},\n  \"deriv_speedup_vs_dense\": {speedup:.3},\n  \"deriv_over_value_ratio\": {new_ratio:.3},\n  \"chunk_routes\": {{ \"skip\": {}, \"batch\": {}, \"masked\": {}, \"scalar\": {} }},\n  \"tr_solve_us\": {:.1},\n  \"fit_single_source_ms\": {:.3},\n  \"fits_per_sec\": {:.2},\n  \"workspace_builds_per_fit\": {ws_builds_per_fit:.3},\n  \"region_threads\": {region_threads},\n  \"region_fits_per_sec_1t\": {region_1t:.2},\n  \"region_fits_per_sec_nt\": {region_nt:.2},\n  \"region_scaling\": {region_scaling:.3},\n  \"par_join_pair_ns\": {:.1},\n  \"par_install_handoff_ns\": {:.1}\n}}\n",
         routes.skip,
         routes.batch,
         routes.masked,
         routes.scalar,
+        tr_solve_s * 1e6,
         fit_s * 1e3,
         1.0 / fit_s,
         join_s * ns,

@@ -15,8 +15,9 @@ use crate::likelihood::{
 use crate::newton::{maximize_with, EvalWorkspace, NewtonConfig, NewtonStats, Objective};
 use crate::params::{ids, SourceParams, NUM_PARAMS};
 use celeste_survey::gmm::Gmm;
-use celeste_survey::render::source_gmm_pix;
+use celeste_survey::render::{source_gmm_pix, support_box};
 use celeste_survey::Image;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Active-pixel radius in units of the source's support sigma.
@@ -70,13 +71,38 @@ pub struct SourceProblem {
     pub priors: ModelPriors,
 }
 
+/// A fixed neighbor's share of one image's background rate: its
+/// expected flux in counts, its unit-flux appearance, and the pixel
+/// box the appearance is evaluated in.
+struct Neighbor {
+    flux: f64,
+    gmm: Gmm,
+    xs: Range<usize>,
+    ys: Range<usize>,
+}
+
 /// Reusable buffers for [`SourceProblem::build`]: the per-image
-/// neighbor list. A block-coordinate-ascent pass rebuilds the problem
-/// for every (source, image) pair, so the assembly path reuses its
-/// scratch instead of reallocating it each time.
+/// neighbor list with each neighbor's box. A block-coordinate-ascent
+/// pass rebuilds the problem for every (source, image) pair, so the
+/// assembly path reuses its scratch instead of reallocating it each
+/// time.
 #[derive(Default)]
 pub struct BuildScratch {
-    neighbors: Vec<(f64, Gmm)>,
+    neighbors: Vec<Neighbor>,
+}
+
+/// Whether the pixel box `xs × ys` can hold the centre of a pixel
+/// within `sqrt(r2)` of `center`: the box's nearest point to `center`
+/// lies in that disc. Conservative (the nearest point need not be a
+/// pixel centre), so a box it rejects certainly misses the disc.
+fn box_meets_disc(xs: &Range<usize>, ys: &Range<usize>, center: [f64; 2], r2: f64) -> bool {
+    if xs.is_empty() || ys.is_empty() {
+        return false;
+    }
+    let near = |c: f64, r: &Range<usize>| c.clamp(r.start as f64 + 0.5, r.end as f64 - 0.5) - c;
+    let dx = near(center[0], xs);
+    let dy = near(center[1], ys);
+    dx * dx + dy * dy <= r2
 }
 
 impl SourceProblem {
@@ -97,6 +123,12 @@ impl SourceProblem {
 
     /// [`SourceProblem::build`] with caller-owned assembly scratch
     /// (the form worker pools use between fits).
+    ///
+    /// Each fixed neighbor adds `flux · g(pixel)` to a pixel's ε only
+    /// inside its own 5σ box ([`support_box`]: 5 × its appearance's
+    /// `Gmm::support_radius` around its centre), the box its flux is
+    /// rendered into when images are simulated; a neighbor whose box
+    /// misses the active disc is dropped before the pixel loop.
     pub fn build_with(
         source: &SourceParams,
         images: &[&Image],
@@ -138,8 +170,10 @@ impl SourceProblem {
                 continue;
             }
             // Neighbor contributions to the background rate
-            // (accumulated into the reusable scratch list).
+            // (accumulated into the reusable scratch list), each with
+            // its box; boxes that miss the active disc are dropped.
             let band = img.band.index();
+            let r2 = radius * radius;
             let neighbors = &mut scratch.neighbors;
             neighbors.clear();
             neighbors.extend(
@@ -152,11 +186,13 @@ impl SourceProblem {
                     .map(|o| {
                         let entry = o.to_entry();
                         let flux = expected_band_flux(&o.params, band) * img.nmgy_to_counts;
-                        (flux, source_gmm_pix(&entry, img))
+                        let gmm = source_gmm_pix(&entry, img);
+                        let (xs, ys) = support_box(&entry, &gmm, img);
+                        Neighbor { flux, gmm, xs, ys }
                     }),
             );
+            neighbors.retain(|nb| box_meets_disc(&nb.xs, &nb.ys, center0, r2));
 
-            let r2 = radius * radius;
             // The disk covers ~π/4 of the bounding box.
             let mut pixels = Vec::with_capacity(xs.len() * ys.len() * 4 / 5);
             for y in ys.clone() {
@@ -169,8 +205,10 @@ impl SourceProblem {
                         continue;
                     }
                     let mut eps = img.sky_level;
-                    for (flux, gmm) in neighbors.iter() {
-                        eps += flux * gmm.eval(px, py);
+                    for nb in neighbors.iter() {
+                        if nb.xs.contains(&x) && nb.ys.contains(&y) {
+                            eps += nb.flux * nb.gmm.eval(px, py);
+                        }
                     }
                     pixels.push(ActivePixel {
                         px,
@@ -374,8 +412,9 @@ pub fn fit_source(
 /// whole Newton loop (all iterations and trust-region trials) runs
 /// against the same gradient/Hessian/scratch buffers, and the
 /// position/shape uncertainty scales are then refreshed from the
-/// curvature at the optimum in the same workspace's eigen solver. A
-/// warmed-up workspace makes the whole fit heap-allocation-free
+/// decomposition of the curvature at the optimum that the loop left
+/// in the workspace. A warmed-up workspace makes the whole fit
+/// heap-allocation-free
 /// (enforced by `crates/core/tests/hotpath.rs`).
 pub fn fit_source_with(
     source: &mut SourceParams,
@@ -400,12 +439,13 @@ pub fn fit_source_with(
 /// posterior variances via its inverse — Laplace within VI, a
 /// deviation from the paper, whose u and φ are point-optimized with
 /// uncertainty only on a, r, c (README, "Deviations from the paper").
-/// `ws.hess` is the Hessian at `source.params`, as [`maximize_with`]
-/// leaves it. Only the six variances stored are computed: diagonal
-/// entries of `V diag(1/max(λ, floor)) Vᵀ` over the eigenpairs of
-/// `−∇²L`, read off the workspace's eigen solver without allocating.
-fn laplace_update_scales(source: &mut SourceParams, ws: &mut SourceWorkspace) {
-    let eig = ws.decompose_neg_hess();
+/// `ws.curvature()` is the eigendecomposition of `−∇²L` at
+/// `source.params`, as [`maximize_with`] leaves it. Only the six
+/// variances stored are computed: diagonal entries of
+/// `V diag(1/max(λ, floor)) Vᵀ` over its eigenpairs, read off without
+/// allocating or decomposing again.
+fn laplace_update_scales(source: &mut SourceParams, ws: &SourceWorkspace) {
+    let eig = ws.curvature();
     // Floor tiny/negative curvature so the inverse stays meaningful.
     let floor = 1e-6 * eig.values().last().copied().unwrap_or(1.0).abs().max(1e-6);
     let variance = |i: usize| eig.spectral_diag(i, |l| 1.0 / l.max(floor)).max(1e-12);
@@ -552,9 +592,10 @@ mod tests {
             }
 
             ws.hess.copy_from(&hess);
+            ws.decompose_model();
             let mut sp = SourceParams::init_from_entry(&star(5.0));
             let before = sp.params;
-            laplace_update_scales(&mut sp, &mut ws);
+            laplace_update_scales(&mut sp, &ws);
             let pairs = ids::U.iter().zip(&ids::U_LSD);
             for (&i, &lsd) in pairs.chain(ids::SHAPE.iter().zip(&ids::SHAPE_LSD)) {
                 let want = 0.5 * cov[(i, i)].max(1e-12).ln();
@@ -684,6 +725,75 @@ mod tests {
         let f2 = sources[1].to_entry().flux_r_nmgy;
         assert!((f1 - 20.0).abs() < 3.0, "source 1 flux {f1}");
         assert!((f2 - 12.0).abs() < 3.0, "source 2 flux {f2}");
+    }
+
+    /// The background rate of every active pixel of a one-band
+    /// problem with `neighbor` fixed, beside what the neighbor's whole
+    /// mixture would add there, unboxed, and whether the pixel lies in
+    /// the neighbor's 5σ box.
+    fn eps_against_unboxed(neighbor: &CatalogEntry) -> Vec<(f64, f64, bool)> {
+        let truth = Catalog::new(vec![star(5.0), neighbor.clone()]);
+        let images = scene_images(&truth, &[Band::R], 11);
+        let img = &images[0];
+        let sp = SourceParams::init_from_entry(&star(5.0));
+        let other = SourceParams::init_from_entry(neighbor);
+        let problem =
+            SourceProblem::build(&sp, &[img], &[&other], &priors(), &FitConfig::default());
+        let entry = other.to_entry();
+        let flux = expected_band_flux(&other.params, img.band.index()) * img.nmgy_to_counts;
+        let gmm = source_gmm_pix(&entry, img);
+        let (xs, ys) = support_box(&entry, &gmm, img);
+        let block = &problem.blocks[0];
+        assert!(!block.pixels.is_empty());
+        block
+            .pixels
+            .iter()
+            .map(|p| {
+                let unboxed = img.sky_level + flux * gmm.eval(p.px, p.py);
+                let inside = xs.contains(&(p.px as usize)) && ys.contains(&(p.py as usize));
+                (p.eps, unboxed, inside)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn neighbor_outside_its_box_leaves_eps_at_sky() {
+        // 38 arcsec (about 28 px) away: well inside the assembly's
+        // neighbor search radius, but its 5σ box (about 13 px) ends
+        // before the active disc (about 9.5 px) begins.
+        let mut far = star(20.0);
+        far.id = 1;
+        far.pos.ra += 38.0 / 3600.0;
+        let pixels = eps_against_unboxed(&far);
+        assert!(
+            pixels.iter().all(|&(_, _, inside)| !inside),
+            "box reaches the disc"
+        );
+        // The unboxed tail would have moved ε...
+        assert!(pixels.iter().any(|&(_, unboxed, _)| unboxed != 140.0));
+        // ...the box leaves it at the sky level exactly.
+        for (eps, _, _) in pixels {
+            assert_eq!(eps.to_bits(), 140.0_f64.to_bits());
+        }
+    }
+
+    #[test]
+    fn neighbor_inside_its_box_matches_the_unboxed_sum() {
+        let mut near = star(20.0);
+        near.id = 1;
+        near.pos.ra += 1.4 / 3600.0;
+        let pixels = eps_against_unboxed(&near);
+        assert!(
+            pixels.iter().all(|&(_, _, inside)| inside),
+            "disc leaves the box"
+        );
+        for (eps, unboxed, _) in pixels {
+            assert!(eps > 140.0);
+            assert!(
+                (eps - unboxed).abs() <= 1e-9 * unboxed,
+                "{eps} vs {unboxed}"
+            );
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //! time in arithmetic, not allocation"). Callers build a workspace
 //! once and run [`maximize_with`] in it.
 
-use celeste_linalg::{solve_tr_subproblem_with, vecops, EigenWorkspace, Mat, TrWorkspace};
+use celeste_linalg::{vecops, EigenWorkspace, Mat, TrWorkspace};
 
 thread_local! {
     /// Counts [`EvalWorkspace`] constructions on this thread, so tests
@@ -45,11 +45,10 @@ pub struct EvalWorkspace<S = ()> {
     pub hess: Mat,
     /// Objective-specific scratch, reused across evaluations.
     pub scratch: S,
-    // Solver-side buffers (negated model, trial point, trust-region
-    // solve storage incl. the Jacobi eigen workspace), reused by
-    // `maximize_with` across iterations and trust-region trials.
-    neg_grad: Vec<f64>,
-    neg_hess: Mat,
+    // Solver-side buffers (trial point; the trust-region workspace,
+    // which holds the negated model and its eigendecomposition),
+    // reused by `maximize_with` across iterations and trust-region
+    // trials.
     x_trial: Vec<f64>,
     tr: TrWorkspace,
 }
@@ -63,8 +62,6 @@ impl<S: Default> EvalWorkspace<S> {
             grad: vec![0.0; dim],
             hess: Mat::zeros(dim, dim),
             scratch: S::default(),
-            neg_grad: vec![0.0; dim],
-            neg_hess: Mat::zeros(dim, dim),
             x_trial: vec![0.0; dim],
             tr: TrWorkspace::new(dim),
         }
@@ -92,21 +89,26 @@ impl<S> EvalWorkspace<S> {
         (&mut self.grad, &mut self.hess, &mut self.scratch)
     }
 
-    /// Copy `−hess` into the solver's negated-model buffer.
-    fn negate_hess(&mut self) {
-        self.neg_hess.copy_from(&self.hess);
-        self.neg_hess.scale(-1.0);
+    /// Load the negated model `(−hess, −grad)` of the last evaluation
+    /// into the trust-region workspace and decompose it: maximizing
+    /// `f` is minimizing its negated quadratic model. No allocation
+    /// once the workspace is warm.
+    pub(crate) fn decompose_model(&mut self) {
+        let (h, g) = self.tr.model_mut();
+        h.copy_from(&self.hess);
+        h.scale(-1.0);
+        for (ng, &gi) in g.iter_mut().zip(&self.grad) {
+            *ng = -gi;
+        }
+        self.tr.decompose();
     }
 
-    /// Eigendecompose `−hess`, the observed information at the last
-    /// evaluated point, in the trust-region solver's own eigen
-    /// workspace: no allocation once the workspace is warm. The
-    /// Laplace refresh after a fit reads posterior variances off it.
-    pub(crate) fn decompose_neg_hess(&mut self) -> &EigenWorkspace {
-        self.negate_hess();
-        let eig = self.tr.eigen_mut();
-        eig.compute(&self.neg_hess);
-        eig
+    /// The eigendecomposition of `−hess`, the observed information,
+    /// at the last point [`maximize_with`] evaluated, which is the
+    /// point it returns. The Laplace refresh after a fit reads
+    /// posterior variances off it instead of decomposing again.
+    pub(crate) fn curvature(&self) -> &EigenWorkspace {
+        self.tr.eigen()
     }
 }
 
@@ -183,15 +185,19 @@ pub struct NewtonStats {
 }
 
 /// Maximize `obj` starting from `x` (updated in place) in the
-/// caller's workspace. The whole run — every full evaluation, every
-/// trust-region solve (including its Jacobi eigendecomposition), and
-/// every trial-point value — goes through workspace-owned buffers, so
-/// a warmed-up workspace makes the entire call heap-allocation-free
+/// caller's workspace. Each full evaluation is followed by exactly one
+/// eigendecomposition of its negated model (Householder–QL); a
+/// rejected trial only shrinks the trust radius, so the next
+/// trust-region solve reuses that decomposition. The whole run —
+/// every full evaluation, decomposition, trust-region solve and
+/// trial-point value — goes through workspace-owned buffers, so a
+/// warmed-up workspace makes the entire call heap-allocation-free
 /// (enforced by the counting-allocator test in
 /// `crates/core/tests/hotpath.rs`, which also covers the Laplace
 /// refresh a source fit runs after it). On return, `ws.value`,
-/// `ws.grad` and `ws.hess` hold the evaluation at the returned `x`: a
-/// rejected trial touches only `ws.scratch`.
+/// `ws.grad` and `ws.hess` hold the evaluation at the returned `x`
+/// and [`EvalWorkspace::curvature`] its decomposition: a rejected
+/// trial touches only `ws.scratch`.
 pub fn maximize_with<O: Objective>(
     obj: &O,
     x: &mut [f64],
@@ -205,21 +211,16 @@ pub fn maximize_with<O: Objective>(
     let mut radius = INITIAL_RADIUS;
 
     obj.eval_into(x, ws);
+    ws.decompose_model();
     stats.full_evals += 1;
     stats.start_value = ws.value;
     for iter in 0..cfg.max_iters {
         stats.iterations = iter;
         stats.grad_norm = vecops::max_abs(&ws.grad);
 
-        // Maximization: minimize the negated quadratic model. The
-        // negated copies and the trust-region solver's scratch (eigen
-        // workspace, eigenbasis buffers, step) all live in the
-        // workspace.
-        ws.negate_hess();
-        for (ng, &g) in ws.neg_grad.iter_mut().zip(ws.grad.iter()) {
-            *ng = -g;
-        }
-        let sol = solve_tr_subproblem_with(&ws.neg_hess, &ws.neg_grad, radius, &mut ws.tr);
+        // Maximization: minimize the negated quadratic model, on the
+        // decomposition taken when this point was evaluated.
+        let sol = ws.tr.solve(radius);
         // Converged only when both the gradient is flat AND the model
         // promises nothing — a zero gradient alone can be a saddle,
         // which the TR step escapes along negative curvature.
@@ -247,6 +248,7 @@ pub fn maximize_with<O: Objective>(
             let improvement = f_trial - f;
             x.copy_from_slice(&ws.x_trial);
             obj.eval_into(x, ws);
+            ws.decompose_model();
             stats.full_evals += 1;
             if rho > 0.75 && sol.on_boundary {
                 radius = (2.0 * radius).min(MAX_RADIUS);
@@ -258,7 +260,8 @@ pub fn maximize_with<O: Objective>(
                 break;
             }
         } else {
-            // Reject and shrink.
+            // Reject and shrink; the next solve reuses the
+            // decomposition.
             radius = 0.25 * step_norm;
             if radius < 1e-12 {
                 stats.converged = true;
@@ -388,6 +391,34 @@ mod tests {
             before,
             "maximize_with must not build workspaces"
         );
+    }
+
+    #[test]
+    fn decomposes_once_per_full_evaluation() {
+        // Rosenbrock from the standard start rejects some trial steps;
+        // those shrink the radius and solve again on the decomposition
+        // already taken, so decompositions track full evaluations.
+        let mut ws = EvalWorkspace::new(2);
+        let mut x = vec![-1.2, 1.0];
+        let stats = maximize_with(
+            &NegRosenbrock,
+            &mut x,
+            &NewtonConfig { max_iters: 200 },
+            &mut ws,
+        );
+        let rejected = stats.value_evals + 1 - stats.full_evals;
+        assert!(rejected > 0, "fixture should reject a trial: {stats:?}");
+        assert_eq!(ws.tr.decompositions(), stats.full_evals as u64);
+        // A second run in the same workspace adds exactly its own.
+        let before = ws.tr.decompositions();
+        let mut x = vec![0.5, 0.5];
+        let stats = maximize_with(
+            &NegRosenbrock,
+            &mut x,
+            &NewtonConfig { max_iters: 200 },
+            &mut ws,
+        );
+        assert_eq!(ws.tr.decompositions() - before, stats.full_evals as u64);
     }
 
     #[test]

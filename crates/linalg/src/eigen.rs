@@ -1,117 +1,219 @@
-//! Symmetric eigendecomposition via the cyclic Jacobi method.
+//! Symmetric eigendecomposition by Householder tridiagonalization and
+//! implicit-shift QL (EISPACK `tred2`/`tql2`; Golub & Van Loan §8.3).
 
 use crate::Mat;
 
-/// Sweep cap for the cyclic Jacobi iteration. Convergence is typically
-/// < 12 sweeps at n = 44; the cap only matters for pathological input
-/// (see [`jacobi_sweeps`]).
-const MAX_SWEEPS: usize = 64;
+/// QL iteration cap per eigenvalue (EISPACK's). One to three
+/// iterations are typical at n = 44; the cap only matters for
+/// pathological input, which then gets the best-effort factor plus a
+/// `false` convergence flag rather than a hang.
+const MAX_QL_ITERS: usize = 30;
 
-/// Run cyclic Jacobi sweeps on `m` in place, accumulating rotations
-/// into `v` (which must come in as the identity). Returns whether the
-/// off-diagonal mass fell below `1e-14 · ‖A‖_F`.
+/// Householder reduction of the symmetric `n × n` matrix in `z` to
+/// tridiagonal form (EISPACK `tred2`). `z` holds the matrix row-major
+/// and is read through its upper triangle; on return its rows are the
+/// rows of `Qᵀ` for `A = Q T Qᵀ`, `d` holds the diagonal of `T` and
+/// `e[1..]` its off-diagonal (`e[0] = 0`).
 ///
-/// Guards for near-degenerate input (tiny off-diagonals on clustered
-/// eigenvalues, the trust-region hard case's 7×7 Hessians):
-///
-/// * rotations whose angle parameter is not finite (an off-diagonal
-///   entry straddling the subnormal range against a large diagonal
-///   gap) are skipped instead of poisoning the factor with NaNs;
-/// * per-rotation skips are thresholded at `tol / n`, which bounds the
-///   residual off-diagonal mass below `tol` even when every remaining
-///   rotation is skipped, so the sweep loop cannot spin uselessly;
-/// * the sweep cap is a hard stop: callers get the best-effort
-///   diagonal plus a `false` convergence flag rather than a hang.
-fn jacobi_sweeps(m: &mut Mat, v: &mut Mat) -> bool {
-    let n = m.rows();
-    let tol = 1e-14 * m.frob_norm().max(f64::MIN_POSITIVE);
-
-    let off_norm = |m: &Mat| -> f64 {
-        let mut off = 0.0;
-        for i in 0..n {
-            for j in (i + 1)..n {
-                off += m[(i, j)] * m[(i, j)];
-            }
-        }
-        (2.0 * off).sqrt()
-    };
-
-    for _sweep in 0..MAX_SWEEPS {
-        if off_norm(m) <= tol {
-            return true;
-        }
-        for p in 0..n {
-            for q in (p + 1)..n {
-                let apq = m[(p, q)];
-                if apq.abs() <= tol / (n as f64) {
-                    continue;
-                }
-                // Classic Jacobi rotation angle.
-                let app = m[(p, p)];
-                let aqq = m[(q, q)];
-                let theta = 0.5 * (aqq - app) / apq;
-                if !theta.is_finite() {
-                    // |apq| subnormal against a huge diagonal gap: the
-                    // rotation is numerically the identity; applying
-                    // it would inject NaN through θ² overflow.
-                    continue;
-                }
-                let t = if theta >= 0.0 {
-                    1.0 / (theta + (1.0 + theta * theta).sqrt())
-                } else {
-                    -1.0 / (-theta + (1.0 + theta * theta).sqrt())
-                };
-                let c = 1.0 / (1.0 + t * t).sqrt();
-                let s = t * c;
-
-                // Apply rotation to rows/cols p and q of m.
-                for k in 0..n {
-                    let mkp = m[(k, p)];
-                    let mkq = m[(k, q)];
-                    m[(k, p)] = c * mkp - s * mkq;
-                    m[(k, q)] = s * mkp + c * mkq;
-                }
-                for k in 0..n {
-                    let mpk = m[(p, k)];
-                    let mqk = m[(q, k)];
-                    m[(p, k)] = c * mpk - s * mqk;
-                    m[(q, k)] = s * mpk + c * mqk;
-                }
-                // Accumulate eigenvectors.
-                for k in 0..n {
-                    let vkp = v[(k, p)];
-                    let vkq = v[(k, q)];
-                    v[(k, p)] = c * vkp - s * vkq;
-                    v[(k, q)] = s * vkp + c * vkq;
-                }
-            }
-        }
+/// This is the textbook algorithm on the transpose of its usual
+/// layout: every inner loop walks one contiguous row of `z`.
+fn tred2(z: &mut [f64], d: &mut [f64], e: &mut [f64]) {
+    let n = d.len();
+    for j in 0..n {
+        d[j] = z[j * n + n - 1];
     }
-    off_norm(m) <= tol
+    for i in (1..n).rev() {
+        // Scale the row to avoid under/overflow.
+        let scale: f64 = d[..i].iter().map(|x| x.abs()).sum();
+        let mut h = 0.0;
+        if scale == 0.0 {
+            e[i] = d[i - 1];
+            for j in 0..i {
+                d[j] = z[j * n + i - 1];
+                z[j * n + i] = 0.0;
+                z[i * n + j] = 0.0;
+            }
+        } else {
+            // Householder vector.
+            for dk in &mut d[..i] {
+                *dk /= scale;
+                h += *dk * *dk;
+            }
+            let mut f = d[i - 1];
+            let mut g = h.sqrt();
+            if f > 0.0 {
+                g = -g;
+            }
+            e[i] = scale * g;
+            h -= f * g;
+            d[i - 1] = f - g;
+            e[..i].fill(0.0);
+            // Similarity transform of the leading i × i block.
+            for j in 0..i {
+                f = d[j];
+                let row = &z[j * n..j * n + i];
+                g = e[j] + row[j] * f;
+                for k in (j + 1)..i {
+                    g += row[k] * d[k];
+                    e[k] += row[k] * f;
+                }
+                e[j] = g;
+            }
+            z[i * n..i * n + i].copy_from_slice(&d[..i]);
+            f = 0.0;
+            for j in 0..i {
+                e[j] /= h;
+                f += e[j] * d[j];
+            }
+            let hh = f / (h + h);
+            for j in 0..i {
+                e[j] -= hh * d[j];
+            }
+            for j in 0..i {
+                f = d[j];
+                g = e[j];
+                let row = &mut z[j * n..(j + 1) * n];
+                for k in j..i {
+                    row[k] -= f * e[k] + g * d[k];
+                }
+                d[j] = row[i - 1];
+                row[i] = 0.0;
+            }
+        }
+        d[i] = h;
+    }
+    // Accumulate the transformations into z.
+    for i in 0..n.saturating_sub(1) {
+        z[i * n + n - 1] = z[i * n + i];
+        z[i * n + i] = 1.0;
+        let h = d[i + 1];
+        let (head, tail) = z.split_at_mut((i + 1) * n);
+        let u = &mut tail[..=i];
+        if h != 0.0 {
+            for (dk, &uk) in d[..=i].iter_mut().zip(u.iter()) {
+                *dk = uk / h;
+            }
+            for row in head.chunks_exact_mut(n) {
+                let row = &mut row[..=i];
+                let g: f64 = u.iter().zip(row.iter()).map(|(a, b)| a * b).sum();
+                for (r, &dk) in row.iter_mut().zip(&d[..=i]) {
+                    *r -= g * dk;
+                }
+            }
+        }
+        u.fill(0.0);
+    }
+    for j in 0..n {
+        d[j] = z[j * n + n - 1];
+        z[j * n + n - 1] = 0.0;
+    }
+    z[n * n - 1] = 1.0;
+    e[0] = 0.0;
+}
+
+/// Implicit-shift QL on the tridiagonal `(d, e)` from [`tred2`]
+/// (EISPACK `tql2`), applying each plane rotation to two adjacent
+/// rows of `z`. On return `d` holds the eigenvalues (unsorted) and row
+/// `j` of `z` the eigenvector of `d[j]`. Returns `false` if some
+/// eigenvalue hit [`MAX_QL_ITERS`]; its iteration then stops and the
+/// current diagonal entry stands.
+fn tql2(z: &mut [f64], d: &mut [f64], e: &mut [f64]) -> bool {
+    let n = d.len();
+    let mut converged = true;
+    e.copy_within(1.., 0);
+    e[n - 1] = 0.0;
+    let mut f = 0.0;
+    let mut tst1 = 0.0_f64;
+    for l in 0..n {
+        // Find the first negligible off-diagonal at or after l.
+        tst1 = tst1.max(d[l].abs() + e[l].abs());
+        let mut m = l;
+        while m < n - 1 && e[m].abs() > f64::EPSILON * tst1 {
+            m += 1;
+        }
+        let mut iter = 0;
+        while m > l && e[l].abs() > f64::EPSILON * tst1 {
+            if iter == MAX_QL_ITERS {
+                converged = false;
+                break;
+            }
+            iter += 1;
+            // Implicit shift from the leading 2 × 2 block.
+            let mut g = d[l];
+            let mut p = (d[l + 1] - g) / (2.0 * e[l]);
+            let mut r = p.hypot(1.0);
+            if p < 0.0 {
+                r = -r;
+            }
+            d[l] = e[l] / (p + r);
+            d[l + 1] = e[l] * (p + r);
+            let dl1 = d[l + 1];
+            let mut h = g - d[l];
+            for di in &mut d[l + 2..] {
+                *di -= h;
+            }
+            f += h;
+            // QL sweep from m − 1 up to l.
+            p = d[m];
+            let (mut c, mut c2, mut c3) = (1.0, 1.0, 1.0);
+            let el1 = e[l + 1];
+            let (mut s, mut s2) = (0.0, 0.0);
+            for i in (l..m).rev() {
+                c3 = c2;
+                c2 = c;
+                s2 = s;
+                g = c * e[i];
+                h = c * p;
+                r = p.hypot(e[i]);
+                e[i + 1] = s * r;
+                s = e[i] / r;
+                c = p / r;
+                p = c * d[i] - s * g;
+                d[i + 1] = h + s * (c * g + s * d[i]);
+                let (head, tail) = z.split_at_mut((i + 1) * n);
+                let zi = &mut head[i * n..];
+                for (a, b) in zi.iter_mut().zip(&mut tail[..n]) {
+                    let t = *b;
+                    *b = s * *a + c * t;
+                    *a = c * *a - s * t;
+                }
+            }
+            p = -s * s2 * c3 * el1 * e[l] / dl1;
+            e[l] = s * p;
+            d[l] = c * p;
+        }
+        d[l] += f;
+        e[l] = 0.0;
+    }
+    converged
 }
 
 /// Eigendecomposition `A = V diag(λ) Vᵀ` of symmetric matrices, in
 /// preallocated storage reused across same-sized inputs.
 ///
 /// The paper's trust-region Newton step computes "an eigen
-/// decomposition … at each iteration" (§VI-B). At n = 44 the cyclic
-/// Jacobi method is simple, unconditionally convergent for symmetric
-/// input, and accurate to machine precision — there is no need for a
-/// LAPACK binding. The optimizer's evaluation workspace owns one (via
-/// `TrWorkspace`), so those solves, and the Laplace refresh after a
-/// fit, touch no heap at all after the first.
+/// decomposition … at each iteration" (§VI-B), which it leaves to
+/// MKL. Here it is Householder tridiagonalization plus implicit-shift
+/// QL, O(n³) with a small constant and no LAPACK binding; the
+/// eigenvectors are kept as rows while the QL rotations run, so every
+/// rotation sweeps contiguous memory. The optimizer's evaluation
+/// workspace owns one (via `TrWorkspace`), so its decompositions, the
+/// Laplace refresh's included, touch no heap at all after the first.
 #[derive(Debug, Clone)]
 pub struct EigenWorkspace {
-    /// Working copy destroyed by the sweeps.
-    m: Mat,
-    /// Accumulated rotations (unsorted columns).
-    v: Mat,
+    /// Row-major `n × n` working matrix: the symmetrized input, then
+    /// `Qᵀ` from the tridiagonalization, then the eigenvectors as
+    /// (unsorted) rows.
+    z: Vec<f64>,
     /// Eigenvector columns permuted into ascending-eigenvalue order.
     vectors: Mat,
     /// Eigenvalues, ascending.
     values: Vec<f64>,
-    /// Unsorted diagonal and its sort permutation.
-    diag: Vec<f64>,
+    /// Tridiagonal diagonal, then the unsorted eigenvalues.
+    d: Vec<f64>,
+    /// Tridiagonal off-diagonal (QL scratch).
+    e: Vec<f64>,
+    /// Sort permutation: `values[j] = d[idx[j]]`.
     idx: Vec<usize>,
     converged: bool,
 }
@@ -120,11 +222,11 @@ impl EigenWorkspace {
     /// Allocate for `n × n` input.
     pub fn new(n: usize) -> Self {
         EigenWorkspace {
-            m: Mat::zeros(n, n),
-            v: Mat::zeros(n, n),
+            z: vec![0.0; n * n],
             vectors: Mat::zeros(n, n),
             values: vec![0.0; n],
-            diag: vec![0.0; n],
+            d: vec![0.0; n],
+            e: vec![0.0; n],
             idx: vec![0; n],
             converged: false,
         }
@@ -150,28 +252,35 @@ impl EigenWorkspace {
         assert_eq!(a.rows(), a.cols(), "EigenWorkspace: matrix must be square");
         let n = a.rows();
         self.resize(n);
-        self.m.copy_from(a);
-        self.m.symmetrize();
-        self.v.fill_zero();
-        for i in 0..n {
-            self.v[(i, i)] = 1.0;
+        if n == 0 {
+            self.converged = true;
+            return;
         }
-        self.converged = jacobi_sweeps(&mut self.m, &mut self.v);
+        for (i, row) in self.z.chunks_exact_mut(n).enumerate() {
+            for (j, zij) in row.iter_mut().enumerate() {
+                *zij = if i == j {
+                    a[(i, i)]
+                } else {
+                    0.5 * (a[(i, j)] + a[(j, i)])
+                };
+            }
+        }
+        tred2(&mut self.z, &mut self.d, &mut self.e);
+        self.converged = tql2(&mut self.z, &mut self.d, &mut self.e);
 
-        // Sort ascending, permuting eigenvector columns. sort_unstable
-        // keeps this allocation-free (the stable sort buffers).
-        for i in 0..n {
-            self.diag[i] = self.m[(i, i)];
-            self.idx[i] = i;
+        // Sort ascending, permuting eigenvector rows into columns.
+        // sort_unstable keeps this allocation-free (the stable sort
+        // buffers).
+        for (i, ix) in self.idx.iter_mut().enumerate() {
+            *ix = i;
         }
-        let diag = &self.diag;
+        let d = &self.d;
         self.idx
-            .sort_unstable_by(|&i, &j| diag[i].partial_cmp(&diag[j]).unwrap());
-        for c in 0..n {
-            let src = self.idx[c];
-            self.values[c] = self.diag[src];
-            for r in 0..n {
-                self.vectors[(r, c)] = self.v[(r, src)];
+            .sort_unstable_by(|&i, &j| d[i].partial_cmp(&d[j]).unwrap());
+        for (c, &src) in self.idx.iter().enumerate() {
+            self.values[c] = self.d[src];
+            for (r, &v) in self.z[src * n..(src + 1) * n].iter().enumerate() {
+                self.vectors[(r, c)] = v;
             }
         }
     }
@@ -186,8 +295,8 @@ impl EigenWorkspace {
         &self.vectors
     }
 
-    /// Whether the last decomposition reached the off-diagonal
-    /// tolerance within the sweep cap. `false` still leaves the best
+    /// Whether every eigenvalue of the last decomposition settled
+    /// within the QL iteration cap. `false` still leaves the best
     /// available approximate factorization in the buffers.
     pub fn converged(&self) -> bool {
         self.converged
@@ -202,8 +311,7 @@ impl EigenWorkspace {
     /// a few posterior variances off the curvature.
     pub fn spectral_diag(&self, i: usize, f: impl Fn(f64) -> f64) -> f64 {
         let mut sum = 0.0;
-        for (j, &l) in self.values.iter().enumerate() {
-            let vij = self.vectors[(i, j)];
+        for (&l, &vij) in self.values.iter().zip(self.vectors.row(i)) {
             let w = f(l) * vij;
             if w != 0.0 {
                 sum += w * vij;
@@ -212,15 +320,17 @@ impl EigenWorkspace {
         sum
     }
 
-    /// Write `Vᵀ x` into `out` (both length `dim`).
+    /// Write `Vᵀ x` into `out` (both length `dim`): entry `j` is the
+    /// dot product of `x` with eigenvector `j`, read as a contiguous
+    /// row of the working matrix.
     pub fn to_eigenbasis_into(&self, x: &[f64], out: &mut [f64]) {
         let n = self.dim();
         assert_eq!(x.len(), n);
         assert_eq!(out.len(), n);
-        for (j, o) in out.iter_mut().enumerate() {
+        for (o, &src) in out.iter_mut().zip(&self.idx) {
             let mut s = 0.0;
-            for (i, &xi) in x.iter().enumerate() {
-                s += self.vectors[(i, j)] * xi;
+            for (v, &xi) in self.z[src * n..(src + 1) * n].iter().zip(x) {
+                s += v * xi;
             }
             *o = s;
         }

@@ -11,13 +11,17 @@
 //!
 //! * [`Mat`] — a row-major dense matrix with the handful of BLAS-like
 //!   operations the rest of the workspace needs,
-//! * [`EigenWorkspace`] — cyclic Jacobi eigensolver (always converges
-//!   for symmetric input, no LAPACK dependency) that reuses all
-//!   storage across decompositions,
-//! * [`solve_tr_subproblem_with`] — the Moré–Sorensen-style
-//!   trust-region subproblem solver used by the nonconvex Newton
-//!   optimizer; it solves into a caller-owned [`TrWorkspace`] with
-//!   zero heap allocation,
+//! * [`EigenWorkspace`] — symmetric eigensolver by Householder
+//!   tridiagonalization and implicit-shift QL (EISPACK
+//!   `tred2`/`tql2`, no LAPACK dependency) that reuses all storage
+//!   across decompositions,
+//! * [`TrWorkspace`] — the trust-region subproblem in two steps:
+//!   [`TrWorkspace::decompose`] factors a quadratic model once and
+//!   [`TrWorkspace::solve`] solves it at any radius on that
+//!   factorization, with zero heap allocation; the nonconvex Newton
+//!   optimizer decomposes once per point it evaluates and re-solves
+//!   on a rejected trial. [`solve_tr_subproblem_with`] is the one-shot
+//!   decompose-and-solve,
 //! * [`nnls`] — nonnegative linear least squares used for
 //!   galaxy-profile mixture fitting,
 //! * [`fused`] — the fused-multiply-add strategy trait and

@@ -14,13 +14,24 @@ pub struct TrInfo {
     pub lambda: f64,
 }
 
-/// Preallocated storage for repeated trust-region solves: the Jacobi
-/// eigen workspace plus the eigenbasis gradient, trial-step scratch,
-/// and the output step. Owned by the Newton optimizer's evaluation
-/// workspace, so an entire `maximize_with` call — every iteration and
-/// every trust-region trial — touches no heap after the first solve.
+/// Preallocated storage for trust-region solves on one quadratic
+/// model `gᵀp + ½pᵀHp`: the model itself, its eigendecomposition
+/// (the Householder–QL [`EigenWorkspace`]), the eigenbasis gradient
+/// `Vᵀg`, trial-step scratch and the output step. A solve is split in
+/// two: [`TrWorkspace::decompose`] factors the model once, and
+/// [`TrWorkspace::solve`] then solves the secular equation at any
+/// radius on that factorization — a Newton optimizer whose trial step
+/// is rejected shrinks the radius and solves again without
+/// re-decomposing. Owned by the Newton optimizer's evaluation
+/// workspace, so an entire `maximize_with` call touches no heap after
+/// the first decomposition.
 #[derive(Debug, Clone)]
 pub struct TrWorkspace {
+    /// Model Hessian `H` (the caller writes it through
+    /// [`TrWorkspace::model_mut`]).
+    h: Mat,
+    /// Model gradient `g`.
+    g: Vec<f64>,
     eig: EigenWorkspace,
     /// Gradient in the eigenbasis (`Vᵀ g`).
     gbar: Vec<f64>,
@@ -28,16 +39,21 @@ pub struct TrWorkspace {
     p: Vec<f64>,
     /// The solution step in the original basis.
     step: Vec<f64>,
+    /// Decompositions run in this workspace.
+    decompositions: u64,
 }
 
 impl TrWorkspace {
     /// Allocate for `n`-dimensional problems.
     pub fn new(n: usize) -> Self {
         TrWorkspace {
+            h: Mat::zeros(n, n),
+            g: vec![0.0; n],
             eig: EigenWorkspace::new(n),
             gbar: vec![0.0; n],
             p: vec![0.0; n],
             step: vec![0.0; n],
+            decompositions: 0,
         }
     }
 
@@ -53,162 +69,205 @@ impl TrWorkspace {
         }
     }
 
-    /// The step produced by the last [`solve_tr_subproblem_with`].
+    /// The model `(H, g)` for the caller to write in place before
+    /// [`TrWorkspace::decompose`].
+    pub fn model_mut(&mut self) -> (&mut Mat, &mut [f64]) {
+        (&mut self.h, &mut self.g)
+    }
+
+    /// Eigendecompose the model's `H` and rotate `g` into the
+    /// eigenbasis. Every [`TrWorkspace::solve`] until the next call
+    /// reuses this factorization.
+    pub fn decompose(&mut self) {
+        self.eig.compute(&self.h);
+        self.eig.to_eigenbasis_into(&self.g, &mut self.gbar);
+        self.decompositions += 1;
+    }
+
+    /// The eigendecomposition of the model's `H` from the last
+    /// [`TrWorkspace::decompose`].
+    pub fn eigen(&self) -> &EigenWorkspace {
+        &self.eig
+    }
+
+    /// How many times [`TrWorkspace::decompose`] has run in this
+    /// workspace.
+    pub fn decompositions(&self) -> u64 {
+        self.decompositions
+    }
+
+    /// The step produced by the last [`TrWorkspace::solve`].
     pub fn step(&self) -> &[f64] {
         &self.step
     }
 
-    /// The eigen workspace the solves decompose into, lent out between
-    /// solves (the Laplace refresh after a fit decomposes the final
-    /// curvature in it instead of allocating its own).
-    pub fn eigen_mut(&mut self) -> &mut EigenWorkspace {
-        &mut self.eig
-    }
-}
+    /// Solve `min_p gᵀp + ½pᵀHp s.t. ‖p‖ ≤ Δ` on the decomposed
+    /// model: the step lands in [`TrWorkspace::step`], and the solve
+    /// performs no heap allocation and leaves the factorization as it
+    /// was, so solves at several radii on one decomposition equal
+    /// fresh decompose-and-solves bit for bit.
+    ///
+    /// This mirrors the paper's inner optimizer (§IV-D): Newton steps
+    /// on a nonconvex objective are safeguarded by a trust region, and
+    /// each point costs one eigendecomposition plus cheap
+    /// secular-equation iterations. In the eigenbasis the
+    /// stationarity condition `(H + λI) p = −g` becomes diagonal, so
+    /// we root-find the scalar secular equation `‖p(λ)‖ = Δ` with a
+    /// safeguarded Newton iteration, handling the hard case (gradient
+    /// orthogonal to the bottom eigenspace) explicitly.
+    pub fn solve(&mut self, delta: f64) -> TrInfo {
+        assert!(delta > 0.0, "trust radius must be positive");
+        let n = self.dim();
+        let TrWorkspace {
+            h,
+            g,
+            eig,
+            gbar,
+            p,
+            step,
+            ..
+        } = self;
+        let lam = eig.values();
+        let lam_min = lam[0];
 
-/// Solve the trust-region subproblem into caller-owned storage: the
-/// step lands in `ws.step()`, and (given a warmed-up workspace of the
-/// right dimension) the whole solve performs no heap allocation.
-///
-/// This mirrors the paper's inner optimizer (§IV-D): Newton steps on a
-/// nonconvex objective are safeguarded by a trust region, and each step
-/// costs one eigendecomposition (here: Jacobi, [`EigenWorkspace`]) plus
-/// cheap secular-equation iterations. In the eigenbasis the stationarity
-/// condition `(H + λI) p = −g` becomes diagonal, so we root-find the
-/// scalar secular equation `‖p(λ)‖ = Δ` with a safeguarded Newton
-/// iteration, handling the hard case (gradient orthogonal to the bottom
-/// eigenspace) explicitly.
-pub fn solve_tr_subproblem_with(h: &Mat, g: &[f64], delta: f64, ws: &mut TrWorkspace) -> TrInfo {
-    assert!(delta > 0.0, "trust radius must be positive");
-    assert_eq!(h.rows(), g.len(), "gradient/Hessian dimension mismatch");
-    let n = g.len();
-    ws.resize(n);
-    let TrWorkspace { eig, gbar, p, step } = ws;
-    eig.compute(h);
-    eig.to_eigenbasis_into(g, gbar);
-    let lam = eig.values();
-    let lam_min = lam[0];
-
-    // Unconstrained Newton step is valid if H ≻ 0 and the step fits.
-    if lam_min > 0.0 {
-        for ((pi, &gi), &li) in p.iter_mut().zip(gbar.iter()).zip(lam) {
-            *pi = -gi / li;
+        // Unconstrained Newton step is valid if H ≻ 0 and the step fits.
+        if lam_min > 0.0 {
+            for ((pi, &gi), &li) in p.iter_mut().zip(gbar.iter()).zip(lam) {
+                *pi = -gi / li;
+            }
+            let norm = crate::vecops::norm2(p);
+            if norm <= delta {
+                eig.from_eigenbasis_into(p, step);
+                let pred = predicted_reduction(h, g, step);
+                return TrInfo {
+                    predicted_reduction: pred,
+                    on_boundary: false,
+                    lambda: 0.0,
+                };
+            }
         }
-        let norm = crate::vecops::norm2(p);
-        if norm <= delta {
+
+        // Boundary solution: find λ > max(0, −λ_min) with ‖p(λ)‖ = Δ
+        // where p_i(λ) = −ḡ_i / (λ_i + λ).
+        let lam_floor = (-lam_min).max(0.0);
+        let norm_at = |l: f64| -> f64 {
+            gbar.iter()
+                .zip(lam)
+                .map(|(&gi, &li)| {
+                    let d = li + l;
+                    (gi / d) * (gi / d)
+                })
+                .sum::<f64>()
+                .sqrt()
+        };
+
+        // Hard case: ḡ has (numerically) no component on the bottom
+        // eigenspace, so even λ → λ_floor⁺ cannot reach the boundary.
+        // Take the limiting interior solution plus a bottom-eigenvector
+        // component sized to land exactly on the boundary.
+        let g_scale = crate::vecops::max_abs(gbar).max(1.0);
+        let lam_tol = 1e-12 * lam_min.abs().max(1.0);
+        // λ is sorted ascending, so index 0 always belongs to the
+        // bottom eigenspace; `bottom_flat` checks the whole cluster.
+        let mut bottom_flat = true;
+        for i in 0..n {
+            if (lam[i] - lam_min).abs() <= lam_tol && gbar[i].abs() > 1e-12 * g_scale {
+                bottom_flat = false;
+            }
+        }
+        let hard_case = lam_min <= 0.0
+            && bottom_flat
+            && norm_at(lam_floor + 1e-12 * lam_floor.abs().max(1.0)) < delta;
+        if hard_case {
+            let l = lam_floor;
+            for (i, pi) in p.iter_mut().enumerate() {
+                let d = lam[i] + l;
+                *pi = if d.abs() <= 1e-12 { 0.0 } else { -gbar[i] / d };
+            }
+            let pnorm = crate::vecops::norm2(p);
+            let tau = (delta * delta - pnorm * pnorm).max(0.0).sqrt();
+            p[0] += tau;
             eig.from_eigenbasis_into(p, step);
             let pred = predicted_reduction(h, g, step);
             return TrInfo {
                 predicted_reduction: pred,
-                on_boundary: false,
-                lambda: 0.0,
+                on_boundary: true,
+                lambda: l,
             };
         }
-    }
 
-    // Boundary solution: find λ > max(0, −λ_min) with ‖p(λ)‖ = Δ where
-    // p_i(λ) = −ḡ_i / (λ_i + λ).
-    let lam_floor = (-lam_min).max(0.0);
-    let norm_at = |l: f64| -> f64 {
-        gbar.iter()
-            .zip(lam)
-            .map(|(&gi, &li)| {
-                let d = li + l;
-                (gi / d) * (gi / d)
-            })
-            .sum::<f64>()
-            .sqrt()
-    };
-
-    // Hard case: ḡ has (numerically) no component on the bottom
-    // eigenspace, so even λ → λ_floor⁺ cannot reach the boundary. Take
-    // the limiting interior solution plus a bottom-eigenvector component
-    // sized to land exactly on the boundary.
-    let g_scale = crate::vecops::max_abs(gbar).max(1.0);
-    let lam_tol = 1e-12 * lam_min.abs().max(1.0);
-    // λ is sorted ascending, so index 0 always belongs to the bottom
-    // eigenspace; `bottom_flat` checks the whole cluster.
-    let mut bottom_flat = true;
-    for i in 0..n {
-        if (lam[i] - lam_min).abs() <= lam_tol && gbar[i].abs() > 1e-12 * g_scale {
-            bottom_flat = false;
+        // Safeguarded Newton on φ(λ) = 1/‖p(λ)‖ − 1/Δ (convex in λ,
+        // the standard Moré–Sorensen reformulation with superlinear
+        // convergence).
+        let mut lo = lam_floor;
+        let mut hi = lam_floor.max(1.0);
+        while norm_at(hi) > delta {
+            hi = 2.0 * hi + 1.0;
+            if hi > 1e18 {
+                break;
+            }
         }
-    }
-    let hard_case = lam_min <= 0.0
-        && bottom_flat
-        && norm_at(lam_floor + 1e-12 * lam_floor.abs().max(1.0)) < delta;
-    if hard_case {
-        let l = lam_floor;
+        let mut l = 0.5 * (lo.max(lam_floor + 1e-12) + hi);
+        for _ in 0..100 {
+            let nrm = norm_at(l);
+            let phi = 1.0 / nrm - 1.0 / delta;
+            if phi.abs() < 1e-12 / delta {
+                break;
+            }
+            if nrm > delta {
+                lo = lo.max(l);
+            } else {
+                hi = hi.min(l);
+            }
+            // φ'(λ) = (Σ ḡ²/(λ_i+λ)³) / ‖p‖³
+            let dsum: f64 = gbar
+                .iter()
+                .zip(lam)
+                .map(|(&gi, &li)| {
+                    let d = li + l;
+                    gi * gi / (d * d * d)
+                })
+                .sum();
+            let dphi = dsum / (nrm * nrm * nrm);
+            let mut l_new = l - phi / dphi;
+            if !(l_new > lo && l_new < hi && l_new.is_finite()) {
+                l_new = 0.5 * (lo + hi); // bisection fallback keeps the bracket
+            }
+            if (l_new - l).abs() <= 1e-15 * l.abs().max(1.0) {
+                l = l_new;
+                break;
+            }
+            l = l_new;
+        }
+
         for (i, pi) in p.iter_mut().enumerate() {
             let d = lam[i] + l;
-            *pi = if d.abs() <= 1e-12 { 0.0 } else { -gbar[i] / d };
+            *pi = if d.abs() <= 1e-300 { 0.0 } else { -gbar[i] / d };
         }
-        let pnorm = crate::vecops::norm2(p);
-        let tau = (delta * delta - pnorm * pnorm).max(0.0).sqrt();
-        p[0] += tau;
         eig.from_eigenbasis_into(p, step);
         let pred = predicted_reduction(h, g, step);
-        return TrInfo {
+        TrInfo {
             predicted_reduction: pred,
             on_boundary: true,
             lambda: l,
-        };
+        }
     }
+}
 
-    // Safeguarded Newton on φ(λ) = 1/‖p(λ)‖ − 1/Δ (convex in λ, the
-    // standard Moré–Sorensen reformulation with superlinear convergence).
-    let mut lo = lam_floor;
-    let mut hi = lam_floor.max(1.0);
-    while norm_at(hi) > delta {
-        hi = 2.0 * hi + 1.0;
-        if hi > 1e18 {
-            break;
-        }
-    }
-    let mut l = 0.5 * (lo.max(lam_floor + 1e-12) + hi);
-    for _ in 0..100 {
-        let nrm = norm_at(l);
-        let phi = 1.0 / nrm - 1.0 / delta;
-        if phi.abs() < 1e-12 / delta {
-            break;
-        }
-        if nrm > delta {
-            lo = lo.max(l);
-        } else {
-            hi = hi.min(l);
-        }
-        // φ'(λ) = (Σ ḡ²/(λ_i+λ)³) / ‖p‖³
-        let dsum: f64 = gbar
-            .iter()
-            .zip(lam)
-            .map(|(&gi, &li)| {
-                let d = li + l;
-                gi * gi / (d * d * d)
-            })
-            .sum();
-        let dphi = dsum / (nrm * nrm * nrm);
-        let mut l_new = l - phi / dphi;
-        if !(l_new > lo && l_new < hi && l_new.is_finite()) {
-            l_new = 0.5 * (lo + hi); // bisection fallback keeps the bracket
-        }
-        if (l_new - l).abs() <= 1e-15 * l.abs().max(1.0) {
-            l = l_new;
-            break;
-        }
-        l = l_new;
-    }
-
-    for (i, pi) in p.iter_mut().enumerate() {
-        let d = lam[i] + l;
-        *pi = if d.abs() <= 1e-300 { 0.0 } else { -gbar[i] / d };
-    }
-    eig.from_eigenbasis_into(p, step);
-    let pred = predicted_reduction(h, g, step);
-    TrInfo {
-        predicted_reduction: pred,
-        on_boundary: true,
-        lambda: l,
-    }
+/// One decompose-and-solve of the trust-region subproblem
+/// `min_p gᵀp + ½pᵀHp s.t. ‖p‖ ≤ Δ` into caller-owned storage: copy
+/// `(h, g)` into the workspace's model, [`TrWorkspace::decompose`],
+/// then [`TrWorkspace::solve`] at `delta`. The step lands in
+/// `ws.step()`; given a workspace of the right dimension nothing is
+/// allocated.
+pub fn solve_tr_subproblem_with(h: &Mat, g: &[f64], delta: f64, ws: &mut TrWorkspace) -> TrInfo {
+    assert_eq!(h.rows(), g.len(), "gradient/Hessian dimension mismatch");
+    ws.resize(g.len());
+    let (hm, gm) = ws.model_mut();
+    hm.copy_from(h);
+    gm.copy_from_slice(g);
+    ws.decompose();
+    ws.solve(delta)
 }
 
 fn predicted_reduction(h: &Mat, g: &[f64], p: &[f64]) -> f64 {

@@ -51,6 +51,20 @@ pub fn source_gmm_pix(entry: &CatalogEntry, img: &Image) -> Gmm {
     base.shifted(center[0], center[1])
 }
 
+/// The pixel box a source is drawn in: `RENDER_NSIGMA` times its
+/// appearance's [`Gmm::support_radius`] around its centre, clipped to
+/// the image. `gmm` is the source's [`source_gmm_pix`]; pixels
+/// outside the box get nothing from it.
+pub fn support_box(
+    entry: &CatalogEntry,
+    gmm: &Gmm,
+    img: &Image,
+) -> (std::ops::Range<usize>, std::ops::Range<usize>) {
+    let center = img.wcs.sky_to_pix(&entry.pos);
+    let r = gmm.support_radius(RENDER_NSIGMA);
+    img.clip_box(center[0] - r, center[0] + r, center[1] - r, center[1] + r)
+}
+
 /// Add a catalog's expected counts into `expected` (length = pixels of
 /// `img`), which should start at the sky level.
 ///
@@ -77,9 +91,7 @@ pub fn accumulate_expected(catalog: &Catalog, img: &Image, expected: &mut [f64])
                 return None;
             }
             let gmm = source_gmm_pix(entry, img);
-            let center = img.wcs.sky_to_pix(&entry.pos);
-            let r = gmm.support_radius(RENDER_NSIGMA);
-            let (xs, ys) = img.clip_box(center[0] - r, center[0] + r, center[1] - r, center[1] + r);
+            let (xs, ys) = support_box(entry, &gmm, img);
             Some(Prepared {
                 gmm,
                 flux_counts,
