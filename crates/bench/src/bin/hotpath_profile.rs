@@ -17,8 +17,8 @@
 //!   (`fit_source_with`), problem assembly included;
 //! * evaluation-workspace builds per fit (1 = built once, reused for
 //!   every iteration and trial, as designed);
-//! * region-level fits/sec through the Cyclades pool on the
-//!   `celeste-par` executor, at 1 thread and at N =
+//! * region-level fits/sec through `process_region` (one task per
+//!   source per batch) on the `celeste-par` executor, at 1 thread and at N =
 //!   `CELESTE_THREADS` (default: available cores), plus their ratio.
 //!   The scaling gate (≥ 2× at N threads) is enforced only when the
 //!   machine actually has ≥ 4 cores — a 1-core container can only
@@ -174,7 +174,7 @@ fn main() {
     });
     let ws_builds_per_fit = (workspace_builds() - ws_before) as f64 / fits.max(1) as f64;
 
-    // Region-level throughput through the Cyclades pool: every truth
+    // Region-level throughput through `process_region`: every truth
     // source in the scene jointly optimized for one BCA pass, at one
     // executor thread and at the configured width.
     let region_fit = FitConfig {

@@ -19,7 +19,7 @@ use celeste_survey::Priors;
 /// the `CELESTE_THREADS` environment variable if set to a positive
 /// integer, else the machine's available parallelism. The campaign
 /// node count (overridable with [`CelesteBuilder::n_nodes`]) and the
-/// Cyclades batch width are derived from it, and the campaign sizes
+/// region batch size are derived from it, and the campaign sizes
 /// its prefetcher pool as `threads.max(2)`, replacing the pre-facade
 /// duplication where `CampaignConfig::n_nodes` and `process_region`'s
 /// `n_threads` each re-read the environment. Note the global

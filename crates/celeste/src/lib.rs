@@ -18,7 +18,7 @@
 //!       catalog ──► session.init_sources ──► Vec<SourceParams>
 //!                                      │
 //!       sources ──► session.fit_source │ session.fit_region
-//!                      (one source)    │   (joint Cyclades BCA)
+//!                      (one source)    │   (joint batched BCA)
 //!                                      ▼
 //!        survey ──► session.stage ──► session.run_campaign
 //!                                      │
@@ -82,7 +82,7 @@
 //! All parallelism derives from a single resolved thread count with
 //! the precedence **builder [`CelesteBuilder::threads`] >
 //! `CELESTE_THREADS` environment variable > available parallelism**.
-//! The Cyclades batch width and the prefetcher pool derive from that
+//! The region batch size and the prefetcher pool derive from that
 //! one value, and so does the campaign node count unless
 //! [`CelesteBuilder::n_nodes`] overrides it (see [`CelesteConfig`]);
 //! the legacy per-layer knobs (`CampaignConfig::n_nodes`,

@@ -134,12 +134,13 @@ impl Session {
         })
     }
 
-    /// Jointly optimize a region's sources with Cyclades block
-    /// coordinate ascent on the shared executor (batch width =
-    /// the session's resolved thread count). `neighbors` are sources
-    /// outside the region, held fixed. Validates every source's
-    /// parameters and every image's calibration and pixels before
-    /// fitting (the same checks [`Session::fit_source`] applies).
+    /// Jointly optimize a region's sources with batched block
+    /// coordinate ascent on the shared executor, one task per source
+    /// (each batch holds at least 4 × the session's resolved thread
+    /// count). `neighbors` are sources outside the region, held fixed.
+    /// Validates every source's parameters and every image's
+    /// calibration and pixels before fitting (the same checks
+    /// [`Session::fit_source`] applies).
     pub fn fit_region(
         &self,
         sources: &mut [SourceParams],

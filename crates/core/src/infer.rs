@@ -5,7 +5,7 @@
 //! maximized to tolerance with Newton's method while all other sources
 //! are held fixed, then the next source, until a pass over the region
 //! no longer improves the ELBO. This module provides the serial
-//! engine; `celeste-sched` parallelizes passes with Cyclades.
+//! engine; `celeste-sched` runs each pass as parallel batches.
 
 use crate::fluxdist::type_weight;
 use crate::kl::{kl_value, sub_kl, ModelPriors};
@@ -465,7 +465,7 @@ pub struct OptimizeStats {
 }
 
 /// Serial block coordinate ascent over the sources of one region
-/// (paper §IV-D, minus the Cyclades parallelism which lives in
+/// (paper §IV-D, minus the parallel batches, which live in
 /// `celeste-sched`). Other sources are folded into each subproblem's
 /// background at their current parameters.
 pub fn optimize_sources(

@@ -196,7 +196,7 @@ pub struct NewtonStats {
 /// `crates/core/tests/hotpath.rs`, which also covers the Laplace
 /// refresh a source fit runs after it). On return, `ws.value`,
 /// `ws.grad` and `ws.hess` hold the evaluation at the returned `x`
-/// and [`EvalWorkspace::curvature`] its decomposition: a rejected
+/// and `ws.curvature()` its decomposition: a rejected
 /// trial touches only `ws.scratch`.
 pub fn maximize_with<O: Objective>(
     obj: &O,

@@ -1,15 +1,14 @@
 //! `celeste-par`: a real work-stealing fork-join executor.
 //!
 //! The paper's node-level story (§IV-D, §VII) is "saturate every core
-//! of the node": Cyclades threads jointly optimizing a region while
+//! of the node": threads jointly optimizing a region while
 //! image synthesis, staging, and coadds run in parallel around them.
 //! This crate is the one scheduler all of those layers share:
 //!
 //! * [`join`] — fork-join primitive with work stealing (Chase–Lev
 //!   deques, one per persistent worker);
 //! * [`scope`] — structured task spawning that may borrow from the
-//!   enclosing frame (what the Cyclades pool and campaign node loop
-//!   run on);
+//!   enclosing frame (what region batches and the campaign run on);
 //! * [`iter`] — slice-shaped parallel iterators (`par_iter`,
 //!   `par_chunks`, `par_chunks_mut` + `map`/`zip`/`enumerate` and
 //!   `for_each`/`collect`/`sum` drivers) that the vendored `rayon`

@@ -31,7 +31,7 @@ use std::time::Duration;
 /// The node-level thread-count knob: `CELESTE_THREADS` if set to a
 /// positive integer, otherwise the machine's available parallelism.
 /// Every layer that wants "one thread per core by default" (the
-/// executor, the Cyclades pool, campaign node counts) reads this one
+/// executor, region batch sizes, campaign node counts) reads this one
 /// knob instead of carrying its own ad-hoc parameter.
 pub fn configured_threads() -> usize {
     std::env::var("CELESTE_THREADS")

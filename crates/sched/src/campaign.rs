@@ -4,8 +4,8 @@
 //! dedicated orchestration threads that lease region tasks from a
 //! [`crate::lease::TaskLedger`] (Dtree distribution for fresh work),
 //! stage their images through a prefetching loader (the Burst Buffer
-//! path), and jointly optimize the region's sources with Cyclades
-//! worker spawns on the shared `celeste-par` executor. The loops
+//! path), and jointly optimize the region's sources with one spawn
+//! per source on the shared `celeste-par` executor. The loops
 //! themselves stay off the executor because they block (on prefetch
 //! waits and lease clocks); only their short compute jobs are
 //! stealable. Runtime is decomposed into the paper's four components
@@ -186,7 +186,7 @@ pub struct RegionResult {
     pub node: usize,
     /// Fitted parameters for every source in the task, in task order.
     pub sources: Vec<SourceParams>,
-    /// Cyclades optimizer statistics for the region.
+    /// Region optimizer statistics ([`crate::process_region`]).
     pub stats: RegionStats,
     /// The images and configuration this fit was conditioned on.
     pub provenance: RegionProvenance,
@@ -245,8 +245,9 @@ pub struct CampaignConfig {
     /// Simulated compute nodes (each is one scheduler task on the
     /// executor).
     pub n_nodes: usize,
-    /// Cyclades batch width per node (component lists per batch;
-    /// actual parallelism is bounded by the executor pool). The
+    /// Threads per node: each region batch holds at least
+    /// `4 · threads_per_node` sources (actual parallelism is bounded
+    /// by the executor pool). The
     /// prefetcher's I/O pool, shared across nodes (the Burst Buffer),
     /// is `threads_per_node.max(2)` threads.
     pub threads_per_node: usize,
@@ -660,10 +661,9 @@ pub fn run_campaign_with(
         // prefetch condvars and lease-clock sleeps, sometimes for a
         // whole lease timeout. They therefore run on dedicated OS
         // threads, never as pool jobs — a pool worker draining inside
-        // a nested scope (a Cyclades batch, or an assembly/fit join)
-        // executes whatever job it finds, and a node loop picked up
-        // there would pin that scope open for the loop's entire
-        // lifetime, sleeps included. Only the short-lived region jobs
+        // a nested scope (a region's batch) executes whatever job it
+        // finds, and a node loop picked up there would pin that scope
+        // open for the loop's entire lifetime, sleeps included. Only the short-lived region jobs
         // the loops spawn through `process_region` land on the shared
         // executor.
         std::thread::scope(|s| {

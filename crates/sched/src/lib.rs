@@ -8,13 +8,17 @@
 //!    distributes them dynamically across nodes with a tree-structured
 //!    scheduler (Dtree, Pamnany et al. 2015); a second *shifted*
 //!    partition stage re-optimizes boundary sources.
-//! 2. **Node level** — [`cyclades`] samples the region's conflict
-//!    graph and partitions connected components across worker threads
-//!    so that overlapping sources are never optimized concurrently
-//!    (Pan et al. 2016). The paper keeps every source's parameters in
-//!    a PGAS store with one-sided MPI-3 `get`/`put`; on one machine
-//!    the [`campaign`] coordinator owns one table, frozen at each
-//!    stage barrier and written only there.
+//! 2. **Node level** — [`runtime`] fits a region's sources in seeded
+//!    batches on the shared executor, one task per source. The paper
+//!    uses Cyclades (Pan et al. 2016) so that threads can update
+//!    shared parameters in place without fitting two overlapping
+//!    sources at once; here every fit in a batch reads the batch-start
+//!    parameters and results land after the batch joins, so no
+//!    conflict graph is needed (README, "Deviations from the paper").
+//!    The paper keeps every source's parameters in a PGAS store with
+//!    one-sided MPI-3 `get`/`put`; on one machine the [`campaign`]
+//!    coordinator owns one table, frozen at each stage barrier and
+//!    written only there.
 //! 3. **Source level** — `celeste-core`'s Newton trust-region fit.
 //!
 //! [`runtime`] wires these together into a real multi-threaded
@@ -32,7 +36,6 @@
 
 pub mod campaign;
 pub mod checkpoint;
-pub mod cyclades;
 pub mod dtree;
 pub mod fault;
 pub mod lease;
@@ -45,7 +48,6 @@ pub use campaign::{
     RegionSink, RunOptions,
 };
 pub use checkpoint::{plan_fingerprint, Checkpoint, CheckpointConfig, CheckpointError};
-pub use cyclades::{conflict_graph, sample_batches, ConflictGraph};
 pub use dtree::{Dtree, DtreeStats};
 pub use fault::FaultPlan;
 pub use lease::{

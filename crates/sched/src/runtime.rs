@@ -1,39 +1,30 @@
-//! Node-level parallel region processing (Cyclades threads).
+//! Node-level parallel region processing (paper §IV-D).
 //!
 //! "Multiple threads then coordinate to jointly optimize the light
-//! sources for the current task … threads coordinate their work
-//! through the Cyclades approach" (§IV-D). Region processing runs on
-//! the shared `celeste-par` work-stealing executor: each Cyclades
-//! batch becomes one scoped spawn per component list, and because
-//! connected components of the sampled conflict graph never straddle
-//! lists — and each list executes serially on whichever worker picks
-//! it up — every 44-block Newton update remains a valid serial
-//! block-coordinate-ascent step.
+//! sources for the current task" (§IV-D). The paper's threads update
+//! shared parameters in place, so it uses Cyclades (Pan et al. 2016)
+//! to keep overlapping sources from being fitted at once. Here a
+//! pass is a sequence of batches instead: the pass shuffles the
+//! region's sources with the seeded RNG and cuts that order into
+//! batches, every fit in a batch reads the parameters as they stood
+//! at the batch start, and results are written back only after the
+//! batch's scope joins. No fit sees another fit of its own batch
+//! (README, "Deviations from the paper"), so which worker runs which
+//! fit never changes a number, and the output is bit-identical at
+//! any pool width.
 //!
-//! The executor's workers are persistent for the process lifetime, so
-//! each keeps one Newton evaluation workspace (gradient/Hessian
+//! Each batch spawns one scoped task per source on the shared
+//! `celeste-par` work-stealing executor. The task assembles the
+//! source's subproblem and fits it under one borrow of its worker's
+//! fit state: a Newton evaluation workspace (gradient/Hessian
 //! buffers, prepared appearance mixtures, and the trust-region
-//! solver's eigen scratch) plus one problem-assembly scratch in
-//! thread-local storage, built once ever and reused across every fit
-//! the worker performs in any region: steady-state optimization does
-//! no thread spawning and no heap allocation anywhere in a fit's
-//! Newton loop.
-//!
-//! Workers read source parameters from a plain snapshot borrowed for
-//! the duration of the batch (the scope joins before the coordinator
-//! continues); between batches only the sources fitted since the last
-//! refresh are written back.
-//!
-//! Within a component list, problem assembly and fitting form a
-//! two-stage software pipeline: while the owning worker runs the
-//! Newton solve for source k, the assembly of source k+1 sits on its
-//! deque as a stealable `celeste_par::join` job, so an otherwise-idle
-//! worker overlaps it with the fit. Assembly reads only the immutable
-//! batch snapshot and fits still execute serially in list order, so
-//! the output is bit-identical to the unpipelined schedule at any
-//! thread count.
+//! solver's eigen scratch) plus a problem-assembly scratch, kept in
+//! thread-local storage. The executor's workers are persistent, so
+//! that state is built once per worker and reused for every fit the
+//! worker performs in any region: steady-state optimization does no
+//! thread spawning and no heap allocation anywhere in a fit's Newton
+//! loop.
 
-use crate::cyclades::{conflict_graph, overlap_radius_arcsec, sample_batches, ConflictGraph};
 use celeste_core::flops::thread_visits;
 use celeste_core::{
     fit_source_with, source_workspace, BuildScratch, FitConfig, ModelPriors, SourceParams,
@@ -41,7 +32,8 @@ use celeste_core::{
 };
 use celeste_survey::Image;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 use std::cell::RefCell;
 
 /// Statistics from processing one region.
@@ -51,10 +43,12 @@ pub struct RegionStats {
     pub batches: usize,
     pub fits: usize,
     pub newton_iters: usize,
+    /// Always 0: no conflict graph is built. Kept so the checkpoint
+    /// layout and the benchmark's `sched.conflict_edges` stay as they
+    /// are.
     pub conflict_edges: usize,
     pub active_pixels: usize,
-    /// Times the conflict graph was (re)built (once per region unless
-    /// fitted positions/extents drift past the rebuild threshold).
+    /// Always 0, like `conflict_edges`.
     pub graph_builds: usize,
     /// Active-pixel visits of this region's fits, counted on the
     /// thread each fit ran on. Not stored in checkpoints: a restored
@@ -62,13 +56,10 @@ pub struct RegionStats {
     pub active_pixel_visits: u64,
 }
 
-/// Per-source outcome written by a worker into its batch slot.
-/// `source` is `None` when the subproblem had no active pixels
-/// (nothing to fit) — the coordinator still needs the entry to
-/// account for the index.
+/// Outcome of one source's fit, written by its task into the batch
+/// slot of that source.
 struct FitResult {
-    idx: usize,
-    source: Option<SourceParams>,
+    source: SourceParams,
     newton_iters: usize,
     active_pixels: usize,
     visits: u64,
@@ -87,138 +78,79 @@ thread_local! {
     static FIT_STATE: RefCell<Option<FitState>> = const { RefCell::new(None) };
 }
 
-/// Run `f` with the calling worker's fit state (creating it on first
-/// use). The borrow must last only for one assembly or one fit —
-/// never across a `celeste_par::join`: a worker waiting on a stolen
-/// job executes other pipeline stages, which take this same RefCell.
-fn with_fit_state<R>(f: impl FnOnce(&mut FitState) -> R) -> R {
-    FIT_STATE.with(|cell| {
-        let mut slot = cell.borrow_mut();
-        let state = slot.get_or_insert_with(|| FitState {
-            ws: source_workspace(),
-            build: BuildScratch::default(),
-        });
-        f(state)
-    })
-}
-
-/// A source's subproblem, assembled and ready to fit. `SourceProblem`
-/// owns its blocks (the worker's `BuildScratch` is only reused
-/// internally), so an `Assembled` moves freely between the worker
-/// that built it and the worker that fits it.
-struct Assembled {
-    sp: SourceParams,
-    problem: SourceProblem,
-}
-
-/// Assembly stage of the fit pipeline: snapshot-read, borrow the
-/// executing worker's build scratch for the duration of one
-/// `build_with`, release it before returning.
-fn assemble_source(
-    snap: &[SourceParams],
+/// Assemble and fit source `idx` of `sources` against all the others
+/// and `fixed_neighbors`, all held at their values in `sources`.
+/// `None` when the source has no active pixels (nothing to fit). A
+/// fit runs on one thread, so the calling thread's visit count taken
+/// around it is exactly the fit's own. The `FIT_STATE` borrow spans
+/// assembly and fit; neither may enter the executor (`celeste-core`
+/// does not depend on `celeste-par`), or another task run by this
+/// worker while it waited would find the state already borrowed.
+fn fit_one(
+    sources: &[SourceParams],
     idx: usize,
     images: &[&Image],
     fixed_neighbors: &[SourceParams],
     priors: &ModelPriors,
-) -> Assembled {
-    let sp = snap[idx].clone();
-    let others: Vec<&SourceParams> = snap
+    fit_cfg: &FitConfig,
+) -> Option<FitResult> {
+    let mut sp = sources[idx].clone();
+    let others: Vec<&SourceParams> = sources
         .iter()
         .enumerate()
         .filter(|(j, _)| *j != idx)
         .map(|(_, o)| o)
         .chain(fixed_neighbors.iter())
         .collect();
-    let problem = with_fit_state(|state| {
-        SourceProblem::build_with(&sp, images, &others, priors, &mut state.build)
-    });
-    Assembled { sp, problem }
-}
-
-/// Fit stage of the pipeline: consumes an [`Assembled`], borrowing
-/// the executing worker's Newton workspace only while the solve runs.
-/// A fit runs on one thread, so the calling thread's visit count
-/// taken around it is exactly the fit's own.
-fn fit_assembled(idx: usize, assembled: Assembled, fit_cfg: &FitConfig) -> FitResult {
-    let Assembled { mut sp, problem } = assembled;
-    if problem.blocks.is_empty() {
-        FitResult {
-            idx,
-            source: None,
-            newton_iters: 0,
-            active_pixels: 0,
-            visits: 0,
+    FIT_STATE.with(|cell| {
+        let mut slot = cell.borrow_mut();
+        let state = slot.get_or_insert_with(|| FitState {
+            ws: source_workspace(),
+            build: BuildScratch::default(),
+        });
+        let problem = SourceProblem::build_with(&sp, images, &others, priors, &mut state.build);
+        if problem.blocks.is_empty() {
+            return None;
         }
-    } else {
         let before = thread_visits();
-        let fs = with_fit_state(|state| fit_source_with(&mut sp, &problem, fit_cfg, &mut state.ws));
-        FitResult {
-            idx,
-            source: Some(sp),
+        let fs = fit_source_with(&mut sp, &problem, fit_cfg, &mut state.ws);
+        Some(FitResult {
+            source: sp,
             newton_iters: fs.newton.iterations,
             active_pixels: fs.active_pixels,
             visits: thread_visits() - before,
-        }
-    }
+        })
+    })
 }
 
-/// Rebuild the conflict graph when any source's fitted position or
-/// overlap extent has drifted by more than this many arcsec since the
-/// graph was built. Conflict radii are several arcsec (PSF + galaxy
-/// extent), so a fraction of an arcsec keeps the graph conservative
-/// while making rebuilds rare in steady state.
-const GRAPH_DRIFT_ARCSEC: f64 = 0.5;
-
-/// The conflict graph plus the state it was built from, for cheap
-/// drift checks across passes.
-struct GraphCache {
-    graph: ConflictGraph,
-    /// (position at build, conflict radius at build) per source. The
-    /// radius is the same [`overlap_radius_arcsec`] the graph edges
-    /// use, so drift checks see everything the edges see — including
-    /// a star→galaxy reclassification suddenly adding galaxy extent.
-    built_state: Vec<(celeste_survey::skygeom::SkyCoord, f64)>,
+/// Sources per batch: half the region, but at least four per thread
+/// so a batch can keep the pool busy.
+fn batch_size(n: usize, n_threads: usize) -> usize {
+    (n / 2).max(4 * n_threads.max(1)).clamp(1, n.max(1))
 }
 
-impl GraphCache {
-    fn build(sources: &[SourceParams], psf_radius_arcsec: f64) -> GraphCache {
-        GraphCache {
-            graph: conflict_graph(sources, psf_radius_arcsec),
-            built_state: sources
-                .iter()
-                .map(|s| (s.position(), overlap_radius_arcsec(s, psf_radius_arcsec)))
-                .collect(),
-        }
-    }
-
-    /// Whether any source drifted beyond [`GRAPH_DRIFT_ARCSEC`]:
-    /// position movement plus conflict-radius change both eat into
-    /// the same edge margin, so their sum is the drift measure.
-    fn stale(&self, sources: &[SourceParams], psf_radius_arcsec: f64) -> bool {
-        sources
-            .iter()
-            .zip(&self.built_state)
-            .any(|(s, (pos0, r0))| {
-                s.position().sep_arcsec(pos0)
-                    + (overlap_radius_arcsec(s, psf_radius_arcsec) - r0).abs()
-                    > GRAPH_DRIFT_ARCSEC
-            })
-    }
+/// One pass's visiting order, a seeded shuffle of `0..n`; the pass's
+/// batches are its `chunks(batch_size)`.
+fn pass_order<R: Rng + ?Sized>(rng: &mut R, n: usize) -> Vec<usize> {
+    let mut order: Vec<usize> = (0..n).collect();
+    order.shuffle(rng);
+    order
 }
 
-/// Jointly optimize `sources` against `images` with Cyclades batches
-/// `n_threads` component-lists wide, executed on the shared
-/// `celeste-par` pool (actual parallelism is the minimum of
-/// `n_threads` and the pool width — `CELESTE_THREADS` by default).
-/// Sources outside this region (their contribution to pixel
-/// backgrounds) should already be folded into the images' neighbor
-/// handling by the caller passing them in `fixed_neighbors`.
+/// Jointly optimize `sources` against `images` in `fit_cfg.bca_passes`
+/// passes of seeded batches of `max(n/2, 4 · n_threads)` sources,
+/// executed on the shared `celeste-par` pool (actual parallelism is
+/// the minimum of the batch size and the pool width —
+/// `CELESTE_THREADS` by default). Sources outside this region (their
+/// contribution to pixel backgrounds) should already be folded into
+/// the images' neighbor handling by the caller passing them in
+/// `fixed_neighbors`.
 ///
 /// # Panics
 ///
-/// A panic in any per-source fit propagates out of the Cyclades
-/// scope (`celeste_par::scope` re-raises the first spawn panic after
-/// the others finish; the pool itself survives). The campaign runner
+/// A panic in any per-source fit propagates out of the batch scope
+/// (`celeste_par::scope` re-raises the first spawn panic after the
+/// others finish; the pool itself survives). The campaign runner
 /// wraps this call in `catch_unwind` at the node boundary, converting
 /// the panic into a typed `RegionError::FitPanic` that feeds the
 /// lease retry/quarantine machinery, so one poisoned region cannot
@@ -236,105 +168,28 @@ pub fn process_region(
     if sources.is_empty() {
         return stats;
     }
-    // Conflict radius: a few PSF widths in arcsec.
-    let psf_radius_arcsec = images
-        .iter()
-        .map(|img| {
-            let s = img
-                .psf
-                .components
-                .iter()
-                .map(|c| c.sigma_px)
-                .fold(0.0_f64, f64::max);
-            3.0 * s * img.wcs.pixel_scale_arcsec()
-        })
-        .fold(6.0_f64, f64::max);
     let mut rng = StdRng::seed_from_u64(seed);
-    let n_threads = n_threads.max(1);
-
-    // The conflict graph is pass-invariant while sources stay put;
-    // build it once and refresh only on drift.
-    let mut graph = GraphCache::build(sources, psf_radius_arcsec);
-    stats.graph_builds += 1;
-
-    // Region snapshot the workers read. Built once; between batches
-    // only fitted entries are written back. The batch scope borrows
-    // it immutably and joins before the coordinator touches it again,
-    // so no Arc (and no per-batch clone) is needed.
-    let mut snapshot: Vec<SourceParams> = sources.to_vec();
-
-    let mut dirty: Vec<usize> = Vec::new();
+    let batch_size = batch_size(sources.len(), n_threads);
     for _pass in 0..fit_cfg.bca_passes {
         stats.passes += 1;
-        if graph.stale(sources, psf_radius_arcsec) {
-            graph = GraphCache::build(sources, psf_radius_arcsec);
-            stats.graph_builds += 1;
-        }
-        stats.conflict_edges = graph.graph.edges;
-        let batch_size = (sources.len() / 2).max(4 * n_threads).max(1);
-        let batches = sample_batches(&mut rng, &graph.graph, n_threads, batch_size);
-        for batch in batches {
+        for batch in pass_order(&mut rng, sources.len()).chunks(batch_size) {
             stats.batches += 1;
-            // Refresh the snapshot in place: only sources fitted
-            // since the last refresh are copied.
-            if !dirty.is_empty() {
-                for &idx in &dirty {
-                    snapshot[idx] = sources[idx].clone();
-                }
-                dirty.clear();
-            }
-            // One scoped spawn per non-empty component list; each
-            // list's *fits* run serially in list order on whichever
-            // worker owns the spawn, so no two conflicting sources
-            // are ever fitted concurrently. A panicking fit
-            // propagates from the scope (after the batch's other
-            // lists finish) instead of hanging the coordinator.
-            let lists: Vec<Vec<usize>> = batch.into_iter().filter(|l| !l.is_empty()).collect();
-            let mut results: Vec<Vec<FitResult>> =
-                lists.iter().map(|l| Vec::with_capacity(l.len())).collect();
-            let snap = &snapshot;
+            // Every task reads `sources` as it stood at the batch
+            // start: the scope joins before anything is written back.
+            // A panicking fit propagates from the scope after the
+            // batch's other fits finish.
+            let mut results: Vec<Option<FitResult>> = batch.iter().map(|_| None).collect();
+            let snap: &[SourceParams] = sources;
             celeste_par::scope(|s| {
-                for (out, list) in results.iter_mut().zip(&lists) {
+                for (slot, &idx) in results.iter_mut().zip(batch) {
                     s.spawn(move || {
-                        // Software pipeline: fit source k inline on
-                        // this worker while assembly of source k+1 is
-                        // exposed to the pool through `join` — an
-                        // idle worker steals it, overlapping problem
-                        // assembly with the Newton solve. Assembly
-                        // reads only the immutable batch snapshot,
-                        // and when nobody steals, the worker pops the
-                        // job back and the schedule degenerates to
-                        // the old assemble-then-fit order; either way
-                        // each source's fit consumes an identical
-                        // problem and results land in list order, so
-                        // output is bit-identical to the serial
-                        // schedule.
-                        let mut cur =
-                            assemble_source(snap, list[0], images, fixed_neighbors, priors);
-                        for pos in 0..list.len() {
-                            let idx = list[pos];
-                            let assembled = cur;
-                            let (res, next) = celeste_par::join(
-                                move || fit_assembled(idx, assembled, fit_cfg),
-                                || {
-                                    list.get(pos + 1).map(|&j| {
-                                        assemble_source(snap, j, images, fixed_neighbors, priors)
-                                    })
-                                },
-                            );
-                            out.push(res);
-                            match next {
-                                Some(nx) => cur = nx,
-                                None => break,
-                            }
-                        }
+                        *slot = fit_one(snap, idx, images, fixed_neighbors, priors, fit_cfg);
                     });
                 }
             });
-            for res in results.into_iter().flatten() {
-                if let Some(sp) = res.source {
-                    sources[res.idx] = sp;
-                    dirty.push(res.idx);
+            for (res, &idx) in results.into_iter().zip(batch) {
+                if let Some(res) = res {
+                    sources[idx] = res.source;
                     stats.fits += 1;
                     stats.newton_iters += res.newton_iters;
                     stats.active_pixels += res.active_pixels;
@@ -359,18 +214,27 @@ mod tests {
 
     fn scene() -> (Catalog, Vec<Image>) {
         let entries: Vec<CatalogEntry> = (0..6)
-            .map(|i| CatalogEntry {
-                id: i,
-                pos: SkyCoord::new(0.004 + 0.004 * i as f64, 0.012),
-                source_type: SourceType::Star,
-                flux_r_nmgy: 10.0 + 3.0 * i as f64,
-                colors: [0.4, 0.2, 0.1, 0.05],
-                shape: GalaxyShape::round_disk(1.0),
-            })
+            .map(|i| star(i, 0.004 + 0.004 * i as f64, 10.0 + 3.0 * i as f64))
             .collect();
         let truth = Catalog::new(entries);
+        let images = render(&truth);
+        (truth, images)
+    }
+
+    fn star(id: u64, ra_deg: f64, flux_r_nmgy: f64) -> CatalogEntry {
+        CatalogEntry {
+            id,
+            pos: SkyCoord::new(ra_deg, 0.012),
+            source_type: SourceType::Star,
+            flux_r_nmgy,
+            colors: [0.4, 0.2, 0.1, 0.05],
+            shape: GalaxyShape::round_disk(1.0),
+        }
+    }
+
+    fn render(truth: &Catalog) -> Vec<Image> {
         let rect = SkyRect::new(0.0, 0.03, 0.0, 0.03);
-        let images: Vec<Image> = [Band::R, Band::G]
+        [Band::R, Band::G]
             .iter()
             .map(|&band| {
                 let mut img = Image::blank(
@@ -387,11 +251,10 @@ mod tests {
                     300.0,
                     Psf::core_halo(1.3),
                 );
-                render_observed(&truth, &mut img, 31 + band.index() as u64);
+                render_observed(truth, &mut img, 31 + band.index() as u64);
                 img
             })
-            .collect();
-        (truth, images)
+            .collect()
     }
 
     #[test]
@@ -415,7 +278,6 @@ mod tests {
         let stats = process_region(&mut sources, &refs, &[], &priors, &cfg, 3, 17);
         assert_eq!(stats.passes, 2);
         assert!(stats.fits >= sources.len(), "fits {}", stats.fits);
-        assert!(stats.graph_builds >= 1);
         for (sp, truth_e) in sources.iter().zip(&truth.entries) {
             let got = sp.to_entry().flux_r_nmgy;
             let want = truth_e.flux_r_nmgy;
@@ -493,5 +355,96 @@ mod tests {
         };
         let stats = process_region(&mut sources, &refs, &[], &priors, &cfg, 1, 3);
         assert!(stats.fits >= sources.len());
+    }
+
+    #[test]
+    fn each_pass_fits_every_source_once_in_seeded_batches() {
+        assert_eq!(batch_size(20, 1), 10);
+        assert_eq!(batch_size(20, 4), 16);
+        assert_eq!(batch_size(3, 4), 3);
+        assert_eq!(batch_size(1, 0), 1);
+        // The batches are a pure function of (seed, n, batch_size),
+        // and each pass's batches partition the region.
+        let passes = |seed: u64, n: usize, bs: usize| -> Vec<Vec<Vec<usize>>> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            (0..3)
+                .map(|_| {
+                    pass_order(&mut rng, n)
+                        .chunks(bs)
+                        .map(<[usize]>::to_vec)
+                        .collect()
+                })
+                .collect()
+        };
+        for (n, bs) in [(1, 1), (6, 4), (20, 10), (101, 12)] {
+            let a = passes(7, n, bs);
+            assert_eq!(a, passes(7, n, bs));
+            for batches in &a {
+                assert_eq!(batches.len(), n.div_ceil(bs));
+                let mut seen = vec![0usize; n];
+                for &v in batches.iter().flatten() {
+                    seen[v] += 1;
+                }
+                assert!(seen.iter().all(|&c| c == 1), "{seen:?}");
+            }
+        }
+        // Through the region: every source is fitted once per pass.
+        let (truth, images) = scene();
+        let refs: Vec<&Image> = images.iter().collect();
+        let mut sources: Vec<SourceParams> = truth
+            .entries
+            .iter()
+            .map(SourceParams::init_from_entry)
+            .collect();
+        let cfg = FitConfig {
+            bca_passes: 2,
+            ..Default::default()
+        };
+        let priors = ModelPriors::new(Priors::sdss_default());
+        let stats = process_region(&mut sources, &refs, &[], &priors, &cfg, 1, 9);
+        assert_eq!(stats.fits, 2 * sources.len());
+        assert_eq!(stats.batches, 2 * sources.len().div_ceil(batch_size(6, 1)));
+    }
+
+    /// Every fit in a batch sees its neighbours at their batch-start
+    /// values: each of two blended sources fitted in one batch equals,
+    /// bit for bit, a lone fit against the other's *initial*
+    /// parameters, and differs from a fit against the other's fitted
+    /// ones.
+    #[test]
+    fn fits_in_one_batch_read_batch_start_neighbours() {
+        // 2.2 arcsec apart, under two PSF widths: heavily blended.
+        let truth = Catalog::new(vec![star(0, 0.0100, 12.0), star(1, 0.0106, 18.0)]);
+        let images = render(&truth);
+        let refs: Vec<&Image> = images.iter().collect();
+        let priors = ModelPriors::new(Priors::sdss_default());
+        let cfg = FitConfig {
+            bca_passes: 1,
+            ..Default::default()
+        };
+        let init: Vec<SourceParams> = truth
+            .entries
+            .iter()
+            .map(|e| {
+                let mut e = e.clone();
+                e.flux_r_nmgy *= 0.6;
+                SourceParams::init_from_entry(&e)
+            })
+            .collect();
+        let mut fitted = init.clone();
+        let stats = process_region(&mut fitted, &refs, &[], &priors, &cfg, 2, 4);
+        assert_eq!((stats.batches, stats.fits), (1, 2));
+
+        let lone_fit = |i: usize, neighbour: &SourceParams| -> [u64; celeste_core::NUM_PARAMS] {
+            let mut sp = init[i].clone();
+            let problem = SourceProblem::build(&sp, &refs, &[neighbour], &priors, &cfg);
+            fit_source_with(&mut sp, &problem, &cfg, &mut source_workspace());
+            sp.params.map(f64::to_bits)
+        };
+        for i in 0..2 {
+            let got = fitted[i].params.map(f64::to_bits);
+            assert_eq!(got, lone_fit(i, &init[1 - i]), "source {i}");
+            assert_ne!(got, lone_fit(i, &fitted[1 - i]), "source {i}");
+        }
     }
 }

@@ -1,21 +1,20 @@
-//! Allocation regression test for the overlapped (assembly/fit
-//! pipelined) region runtime: Newton iterations must never allocate.
+//! Allocation regression test for the region runtime: Newton
+//! iterations must never allocate.
 //!
 //! `process_region` as a whole is not allocation-free — problem
 //! assembly builds each source's pixel blocks — but the steady-state
 //! claim is that every allocation belongs to assembly and none to the
 //! Newton loop. The test pins that by running the same region twice
 //! with different iteration budgets: identical assembly work, very
-//! different amounts of Newton work. If the overlapped fit path
-//! allocated anything per iteration (or per trust-region trial), the
-//! deeper run would allocate more.
+//! different amounts of Newton work. If the fit path allocated
+//! anything per iteration (or per trust-region trial), the deeper run
+//! would allocate more.
 //!
 //! The pool is one worker wide so every job runs on one thread (the
 //! thread-local allocation counter then sees all of it, and the
-//! schedule is deterministic). The `join`-based pipeline still runs —
-//! the assembly job is pushed, the fit runs inline, and the job is
-//! popped back — so the overlapped code path itself is what's
-//! measured.
+//! schedule is deterministic). Each batch spawns one scoped task per
+//! source, which assembles and fits that source on the worker, so the
+//! production code path itself is what's measured.
 
 use celeste_core::{FitConfig, ModelPriors, SourceParams};
 use celeste_survey::bands::Band;
@@ -158,8 +157,7 @@ fn overlapped_region_fits_do_not_allocate_per_iteration() {
         "fixture too easy: {iters_shallow} vs {iters_deep} Newton iters"
     );
     // ...but allocated identically: every allocation is assembly-side,
-    // none per Newton iteration or trust-region trial, overlapped
-    // pipeline included.
+    // none per Newton iteration or trust-region trial.
     assert_eq!(
         shallow, deep,
         "overlapped fit path allocated per iteration \

@@ -43,7 +43,6 @@ use celeste_survey::catalog::Catalog;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Everything a catalog daemon can be tuned on.
 #[derive(Debug, Clone)]
@@ -51,14 +50,6 @@ pub struct ServeConfig {
     /// Handler threads = maximum concurrently served connections
     /// (further accepted sockets queue until a handler frees up).
     pub max_connections: usize,
-    /// Per-connection deadline for reading one full frame (also the
-    /// idle keep-alive limit between requests).
-    pub read_timeout: Duration,
-    /// Per-connection socket write timeout.
-    pub write_timeout: Duration,
-    /// Ceiling on inbound frame payloads; larger frames are refused
-    /// with a typed error frame before any allocation.
-    pub max_frame_bytes: usize,
     /// Snapshot file: loaded at startup if present (instant restart,
     /// zero refits), rewritten by [`CatalogDaemon::snapshot`] and by an
     /// eviction whose entries it does not already hold bit for bit.
@@ -76,9 +67,6 @@ impl Default for ServeConfig {
     fn default() -> ServeConfig {
         ServeConfig {
             max_connections: 64,
-            read_timeout: Duration::from_secs(30),
-            write_timeout: Duration::from_secs(30),
-            max_frame_bytes: 1 << 20,
             snapshot: None,
             max_resident_entries: 0,
             store: StoreConfig::default(),

@@ -6,8 +6,8 @@
 //! never wedge a fitting pipeline. The listener runs nonblocking and
 //! polls the [`CancelToken`] between accepts; handlers poll it
 //! between reads (sockets carry a short poll timeout under the
-//! configured per-connection deadline), so shutdown never waits on a
-//! silent peer.
+//! per-connection deadline), so shutdown never waits on a silent
+//! peer.
 //!
 //! Error discipline per connection: a well-framed but unanswerable
 //! request (query validation) gets an [`ErrorKind::InvalidQuery`]
@@ -28,6 +28,17 @@ use std::time::{Duration, Instant};
 
 /// How often blocked accepts/reads re-check the cancel token.
 const POLL: Duration = Duration::from_millis(20);
+
+/// Per-connection deadline for reading one full frame (also the idle
+/// keep-alive limit between requests).
+const READ_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Per-connection socket write timeout.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Ceiling on inbound frame payloads; larger frames are refused with
+/// a typed error frame before any allocation.
+const MAX_FRAME_BYTES: usize = 1 << 20;
 
 /// A running catalog server; dropping it shuts it down.
 pub struct ServerHandle {
@@ -84,7 +95,6 @@ impl CatalogServer {
                 let rx = conn_rx.clone();
                 let store = store.clone();
                 let cancel = cancel.clone();
-                let cfg = config.clone();
                 std::thread::Builder::new()
                     .name(format!("celeste-serve-{i}"))
                     .spawn(move || {
@@ -94,7 +104,7 @@ impl CatalogServer {
                             if cancel.is_cancelled() {
                                 break;
                             }
-                            serve_connection(sock, &store, &cfg, &cancel);
+                            serve_connection(sock, &store, &cancel);
                         }
                     })
                     .expect("spawn connection handler")
@@ -193,29 +203,24 @@ fn error_response(kind: ErrorKind, message: String) -> Response {
 
 /// Serve one client until it disconnects, errors, or the server
 /// shuts down.
-fn serve_connection(
-    mut sock: TcpStream,
-    store: &ServedStore,
-    cfg: &ServeConfig,
-    cancel: &CancelToken,
-) {
+fn serve_connection(mut sock: TcpStream, store: &ServedStore, cancel: &CancelToken) {
     // Blocking socket with a short receive timeout: `read_full`'s
     // cancel/deadline polling depends on reads waking up regularly.
     if sock.set_nonblocking(false).is_err()
         || sock.set_read_timeout(Some(POLL)).is_err()
-        || sock.set_write_timeout(Some(cfg.write_timeout)).is_err()
+        || sock.set_write_timeout(Some(WRITE_TIMEOUT)).is_err()
     {
         return;
     }
     sock.set_nodelay(true).ok();
     loop {
         let mut len_bytes = [0u8; 4];
-        match read_full(&mut sock, &mut len_bytes, cfg.read_timeout, cancel) {
+        match read_full(&mut sock, &mut len_bytes, READ_TIMEOUT, cancel) {
             ReadStatus::Done => {}
             ReadStatus::Eof | ReadStatus::Bail => return,
         }
         let len = u32::from_le_bytes(len_bytes) as usize;
-        if len > cfg.max_frame_bytes {
+        if len > MAX_FRAME_BYTES {
             // Typed refusal, then drop: we will not read `len` bytes,
             // so the stream position is unrecoverable.
             send(
@@ -225,7 +230,7 @@ fn serve_connection(
                     ErrorKind::FrameTooLarge,
                     WireError::FrameTooLarge {
                         len,
-                        max: cfg.max_frame_bytes,
+                        max: MAX_FRAME_BYTES,
                     }
                     .to_string(),
                 ),
@@ -233,7 +238,7 @@ fn serve_connection(
             return;
         }
         let mut payload = vec![0u8; len];
-        match read_full(&mut sock, &mut payload, cfg.read_timeout, cancel) {
+        match read_full(&mut sock, &mut payload, READ_TIMEOUT, cancel) {
             ReadStatus::Done => {}
             ReadStatus::Eof | ReadStatus::Bail => return,
         }

@@ -76,7 +76,7 @@ fn main() -> Result<(), CelesteError> {
         session.fit_source(sp, &refs, &[])?;
     }
 
-    // (b) Joint Cyclades block coordinate ascent.
+    // (b) Joint block coordinate ascent over the region.
     let mut joint: Vec<SourceParams> = truth.iter().map(init).collect();
     session.fit_region(&mut joint, &refs, &[], 42)?;
 

@@ -104,8 +104,9 @@ fn photo_then_celeste_beats_photo_alone() {
 
 #[test]
 fn campaign_matches_direct_region_processing() {
-    // The distributed path (partition → Dtree → stage table → Cyclades) must
-    // produce the same science as calling the optimizer directly.
+    // The distributed path (partition → Dtree → stage table → region
+    // batches) must produce the same science as calling the optimizer
+    // directly.
     let survey = SyntheticSurvey::generate(SurveyConfig {
         geometry: GeometryConfig {
             n_stripes: 1,

@@ -78,8 +78,8 @@ fn parity_session() -> Session {
     // One node keeps the suite small; the result does not depend on
     // the node count (every task of a stage reads the same frozen
     // parameter table, and commits land at the stage barrier).
-    // threads = 2 keeps the Cyclades batch structure fixed across
-    // executor widths.
+    // threads = 2 keeps the region batch size (at least 4 · threads)
+    // fixed across executor widths.
     Celeste::builder()
         .threads(2)
         .n_nodes(1)

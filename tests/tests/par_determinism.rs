@@ -153,10 +153,11 @@ fn coadd_is_bit_identical_across_thread_counts() {
 
 #[test]
 fn process_region_is_bit_identical_across_thread_counts() {
-    // Cyclades batches are drawn from the seeded RNG (pool-width
-    // independent) and every fit in a batch reads the same frozen
-    // snapshot, so even the optimizer's output is reproducible across
-    // pool widths for a fixed batch-width parameter.
+    // Batches are a seeded shuffle cut into chunks whose size depends
+    // on the `n_threads` argument, not the pool width, and every fit in
+    // a batch reads the batch-start parameters, so which worker runs
+    // which fit cannot change a bit: the optimizer's output is
+    // reproducible across pool widths for a fixed `n_threads`.
     use celeste_core::{FitConfig, ModelPriors, SourceParams};
     use celeste_survey::Priors;
 

@@ -2,8 +2,7 @@
 //! that the paper's scaling claims rest on.
 
 use celeste_cluster::{default_calibration, simulate_run, ClusterConfig};
-use celeste_core::SourceParams;
-use celeste_sched::{conflict_graph, partition_sky, sample_batches, Dtree, PartitionConfig};
+use celeste_sched::{partition_sky, Dtree, PartitionConfig};
 use celeste_survey::priors::Priors;
 use celeste_survey::skygeom::{SkyCoord, SkyRect};
 use celeste_survey::Catalog;
@@ -73,35 +72,6 @@ proptest! {
         });
         for c in &counts {
             prop_assert_eq!(c.load(std::sync::atomic::Ordering::Relaxed), 1);
-        }
-    }
-
-    #[test]
-    fn cyclades_never_splits_conflicts(
-        n in 20..150usize,
-        seed in 0..200u64,
-        threads in 2..8usize,
-    ) {
-        let (cat, _) = random_catalog(n, seed);
-        let sources: Vec<SourceParams> =
-            cat.entries.iter().map(SourceParams::init_from_entry).collect();
-        let graph = conflict_graph(&sources, 20.0);
-        let mut rng = StdRng::seed_from_u64(seed);
-        let batches = sample_batches(&mut rng, &graph, threads, (n / 3).max(1));
-        for batch in &batches {
-            let mut thread_of = std::collections::HashMap::new();
-            for (t, list) in batch.iter().enumerate() {
-                for &v in list {
-                    thread_of.insert(v, t);
-                }
-            }
-            for (&v, &tv) in &thread_of {
-                for &w in &graph.adj[v] {
-                    if let Some(&tw) = thread_of.get(&w) {
-                        prop_assert_eq!(tv, tw, "conflict {} {} split", v, w);
-                    }
-                }
-            }
         }
     }
 
